@@ -2,15 +2,10 @@
 
 from .gltr import GltrResult, gltr_solve
 from .lanczos import LanczosFactorization, extend_lanczos, lanczos_run
-from .linalg import (
-    DenseSymmetric,
-    SymmetricLinearOperator,
-    SymmetricTridiagonal,
-)
+from .linalg import SymmetricLinearOperator, SymmetricTridiagonal
 from .trs import TrsSolution, check_kkt, solve_trs_dense, solve_trs_tridiagonal
 
 __all__ = [
-    "DenseSymmetric",
     "GltrResult",
     "LanczosFactorization",
     "SymmetricLinearOperator",

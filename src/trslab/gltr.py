@@ -104,8 +104,6 @@ def gltr_solve(
         sol = solve_trs_tridiagonal(T, beta0, delta, tol=secular_tol, lam_lower=warm)
         h = sol.h
         lam = sol.lam
-        if warm is not None and lam < warm:
-            lam = warm  # enforce the nondecreasing-multiplier safeguard
         if sol.case == BOUNDARY:
             q = objective_via_tridiagonal(T, lam, beta0, delta)
         else:

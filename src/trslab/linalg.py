@@ -1,10 +1,12 @@
 """Dense and tridiagonal linear-algebra kernels.
 
-Everything here is self-contained numpy: LDL^T factorization of shifted
-symmetric tridiagonals, Sturm-sequence bisection for extremal eigenvalues,
-a cyclic Jacobi eigensolver for small dense symmetric matrices, power
-iteration for operator 2-norms, and Householder utilities.  All randomness
-flows through explicitly seeded generators.
+The tridiagonal kernels are the solver's own: LDL^T factorization of
+shifted symmetric tridiagonals and Sturm-sequence bisection for their
+extremal eigenvalues.  Dense symmetric eigenproblems, which only the oracle
+and the harness need, go to LAPACK through numpy.linalg.  Also here: power
+iteration for operator 2-norms, a Householder orthonormal complement and
+conjugate gradients.  All randomness flows through explicitly seeded
+generators.
 """
 
 from __future__ import annotations
@@ -91,58 +93,21 @@ class SymmetricTridiagonal:
         return SymmetricTridiagonal(self.diag[:order], self.offdiag[: order - 1])
 
 
-@dataclass(frozen=True)
-class DenseSymmetric:
-    """Small dense symmetric matrix; only the lower triangle is stored."""
-
-    order: int
-    packed: np.ndarray  # row-major lower triangle, length order*(order+1)/2
-
-    @classmethod
-    def from_dense(cls, a, sym_tol=1e-12):
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("square matrix required")
-        scale = max(1.0, float(np.abs(a).max()))
-        if np.abs(a - a.T).max() > sym_tol * scale:
-            raise ValueError("matrix is not symmetric")
-        m = a.shape[0]
-        rows, cols = np.tril_indices(m)
-        return cls(order=m, packed=a[rows, cols].copy())
-
-    @classmethod
-    def from_diagonal(cls, d):
-        d = np.asarray(d, dtype=float)
-        m = d.size
-        a = np.zeros((m, m))
-        a[np.arange(m), np.arange(m)] = d
-        return cls.from_dense(a)
-
-    def to_dense(self):
-        m = self.order
-        a = np.zeros((m, m))
-        rows, cols = np.tril_indices(m)
-        a[rows, cols] = self.packed
-        a[cols, rows] = self.packed
-        return a
-
-
 class SymmetricLinearOperator:
     """Symmetric operator given by matrix-vector products.
 
-    Concrete storage (diagonal vector, sparse triplets, or a dense array) is
-    optional and kept around so callers can take cheap exact shortcuts when
-    the structure allows it.
+    Concrete storage (a diagonal vector or a dense array) is optional and
+    kept around so callers can take cheap exact shortcuts when the structure
+    allows it.
     """
 
-    def __init__(self, dim, apply_fn, diagonal=None, dense=None, triplets=None):
+    def __init__(self, dim, apply_fn, diagonal=None, dense=None):
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
         self._apply = apply_fn
         self.diagonal = None if diagonal is None else np.asarray(diagonal, dtype=float)
         self.dense = None if dense is None else np.asarray(dense, dtype=float)
-        self.triplets = triplets
 
     @property
     def shape(self):
@@ -181,7 +146,7 @@ class SymmetricLinearOperator:
             np.add.at(out, rows, values * v[cols])
             return out
 
-        return cls(dim, apply_fn, triplets=(rows, cols, values))
+        return cls(dim, apply_fn)
 
 
 class DenseOperator:
@@ -299,146 +264,17 @@ def extremal_eig_tridiagonal(T, tol=None):
     return float(0.5 * (a[0] + b[0])), float(0.5 * (a[1] + b[1]))
 
 
-def eigvals_tridiagonal(T, tol=None):
-    """All eigenvalues of a symmetric tridiagonal, ascending, by bisection."""
-    m = T.order
-    if m == 1:
-        return np.array([float(T.diag[0])])
-    radius = np.zeros(m)
-    radius[:-1] += np.abs(T.offdiag)
-    radius[1:] += np.abs(T.offdiag)
-    lo = float(np.min(T.diag - radius))
-    hi = float(np.max(T.diag + radius))
-    width = max(hi - lo, np.finfo(float).tiny)
-    if tol is None or tol <= 0.0:
-        tol = 1e-14 * width
-    off_sq = T.offdiag * T.offdiag
-    a = np.full(m, lo)
-    b = np.full(m, hi)
-    target = np.arange(1, m + 1)  # j-th eigenvalue: count >= j above it
-    for _ in range(200):
-        if float(np.max(b - a)) <= tol:
-            break
-        mid = 0.5 * (a + b)
-        counts = _sturm_counts(T.diag, off_sq, mid)
-        upper = counts >= target
-        b = np.where(upper, mid, b)
-        a = np.where(upper, a, mid)
-    return 0.5 * (a + b)
+def symmetric_eig_dense(a):
+    """Eigendecomposition of a dense symmetric matrix by LAPACK.
 
-
-def symmetric_eig_dense(A, tol=1e-12, max_sweeps=30):
-    """Cyclic Jacobi eigendecomposition of a small dense symmetric matrix.
-
-    Returns (values ascending, orthonormal eigenvectors as columns).  Raises
-    NoConvergence with the remaining off-diagonal norm if the sweep budget
-    is exhausted.
+    Returns (values ascending, orthonormal eigenvectors as columns).
     """
-    a = A.to_dense() if isinstance(A, DenseSymmetric) else np.array(A, dtype=float)
-    m = a.shape[0]
-    v = np.eye(m)
-    if m == 1:
-        return a[0, :1].copy(), v
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(m), v
-    iu = np.triu_indices(m, 1)
-    for sweep in range(max_sweeps):
-        off = math.sqrt(2.0) * float(np.linalg.norm(a[iu]))
-        if off <= tol * fro:
-            break
-        # threshold strategy: skip tiny rotations during early sweeps, and
-        # entries that no longer perturb their diagonal neighbours later on
-        thresh = 0.2 * off / (m * m) if sweep < 3 else 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                if abs(apq) <= 1e-300:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                if sweep >= 3:
-                    g100 = 100.0 * abs(apq)
-                    if abs(app) + g100 == abs(app) and abs(aqq) + g100 == abs(aqq):
-                        a[p, q] = 0.0
-                        a[q, p] = 0.0
-                        continue
-                theta = 0.5 * (aqq - app) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        off = math.sqrt(2.0) * float(np.linalg.norm(a[iu]))
-        if off > tol * fro:
-            raise NoConvergence(
-                f"Jacobi sweeps exhausted, off-diagonal norm {off:.3e}", residual=off
-            )
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def tridiagonalize_dense(a):
-    """Householder reduction of a dense symmetric matrix to tridiagonal form.
-
-    Only the eigenvalue-carrying (diag, offdiag) pair is returned; the
-    orthogonal factor is not accumulated.
-    """
-    a = np.array(a, dtype=float)
-    m = a.shape[0]
-    diag = np.zeros(m)
-    off = np.zeros(max(m - 1, 0))
-    for k in range(m - 2):
-        x = a[k + 1 :, k]
-        xnorm = float(np.linalg.norm(x))
-        if xnorm == 0.0:
-            off[k] = 0.0
-            continue
-        alpha = -math.copysign(xnorm, x[0]) if x[0] != 0.0 else -xnorm
-        u = x.copy()
-        u[0] -= alpha
-        unorm2 = float(u @ u)
-        if unorm2 == 0.0:
-            off[k] = alpha
-            continue
-        beta = 2.0 / unorm2
-        sub = a[k + 1 :, k + 1 :]
-        p = beta * (sub @ u)
-        kfac = 0.5 * beta * float(u @ p)
-        w = p - kfac * u
-        sub -= np.outer(u, w) + np.outer(w, u)
-        a[k + 1 :, k] = 0.0
-        a[k, k + 1 :] = 0.0
-        a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        off[k] = alpha
-    if m > 1:
-        off[m - 2] = a[m - 1, m - 2]
-    diag[:] = np.diag(a)
-    return SymmetricTridiagonal(diag, off)
+    return np.linalg.eigh(a)
 
 
 def smallest_eig_dense(a):
     """Smallest eigenvalue of a dense symmetric matrix (no eigenvectors)."""
-    t = tridiagonalize_dense(a)
-    lo, _ = extremal_eig_tridiagonal(t)
-    return lo
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 class NormEstimate(NamedTuple):

@@ -3,10 +3,11 @@
 Two routes are provided on purpose.  The production path solves the reduced
 tridiagonal problem (T + lam*I) h = -beta0*e1 with a bracketed Newton
 iteration on 1/||h(lam)|| - 1/delta, using LDL^T solves only at positive
-definite shifts.  The oracle path eigendecomposes a small dense matrix and
-bisects the explicit secular function; it is used as the brute-force
-reference in every equivalence test and never shares code with the
-production path beyond the eigensolver.
+definite shifts and Sturm bisection for theta_min(T).  The oracle path
+eigendecomposes a small dense matrix with LAPACK (numpy.linalg.eigh) and
+solves the explicit secular function in the eigenbasis; it is the
+brute-force reference in every equivalence test and shares no code with the
+production path.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DenseSymmetric,
     IndefiniteShift,
     NoConvergence,
-    SymmetricTridiagonal,
+    SymmetricLinearOperator,
     extremal_eig_tridiagonal,
     smallest_eig_dense,
     solve_shifted,
@@ -30,7 +30,6 @@ from . import lanczos as _lanczos
 
 BOUNDARY = "boundary"
 INTERIOR = "interior"
-NEAR_HARD = "near-hard"
 
 
 class NearHardCase(Exception):
@@ -222,18 +221,18 @@ def solve_trs_spectral(eigenvalues, coeffs, delta, tol=1e-14, max_iter=300):
     raise NoConvergence(f"spectral secular budget ({max_iter}) exhausted")
 
 
-def solve_trs_dense(A, g, delta, tol=1e-13, oracle_cap=500, eig_tol=1e-12):
+def solve_trs_dense(A, g, delta, tol=1e-13, oracle_cap=500):
     """Brute-force dense solver: full eigendecomposition plus explicit secular.
 
     Intended for small instances (order <= oracle_cap); serves as the
     reference in all equivalence tests.
     """
-    dense = A.to_dense() if isinstance(A, DenseSymmetric) else np.asarray(A, dtype=float)
+    dense = np.asarray(A, dtype=float)
     m = dense.shape[0]
     if m > oracle_cap:
         raise ValueError(f"order {m} exceeds the oracle cap {oracle_cap}")
     g = np.asarray(g, dtype=float)
-    vals, vecs = symmetric_eig_dense(dense, tol=eig_tol)
+    vals, vecs = symmetric_eig_dense(dense)
     c = vecs.T @ g
     lam, s_eig, iterations, case = solve_trs_spectral(vals, c, delta, tol=tol)
     s = vecs @ s_eig
@@ -250,13 +249,10 @@ def _theta_min_estimate(apply_a, g, n, operator=None):
     if n == 1:
         return float(apply_a(np.ones(1))[0])
 
-    class _Wrap:
-        def apply(self, v):
-            return apply_a(v)
-
     rng = np.random.default_rng(20240925)
     start = rng.standard_normal(n) + np.asarray(g, dtype=float)
-    fact = _lanczos.lanczos_run(_Wrap(), start, min(n - 1, 120))
+    op = SymmetricLinearOperator(n, apply_a)
+    fact = _lanczos.lanczos_run(op, start, min(n - 1, 120))
     lo, _ = extremal_eig_tridiagonal(fact.tridiag)
     return lo
 

@@ -96,21 +96,11 @@ def test_jacobi_decomposition_quality():
     for m in (1, 2, 7, 40, 90):
         a = rng.standard_normal((m, m))
         a = 0.5 * (a + a.T)
-        vals, vecs = la.symmetric_eig_dense(a, tol=1e-12)
+        vals, vecs = la.symmetric_eig_dense(a)
         scale = max(np.abs(vals).max(), 1e-300)
         assert np.linalg.norm(a @ vecs - vecs * vals) <= 1e-11 * scale * m
         assert np.linalg.norm(vecs.T @ vecs - np.eye(m)) <= 1e-12 * m
         assert np.all(np.diff(vals) >= 0)
-
-
-def test_dense_symmetric_packing_roundtrip():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 6))
-    a = a + a.T
-    packed = la.DenseSymmetric.from_dense(a)
-    np.testing.assert_array_equal(packed.to_dense(), a)
-    with pytest.raises(ValueError):
-        la.DenseSymmetric.from_dense(rng.standard_normal((4, 4)))
 
 
 def test_operator_norm_examples():
@@ -127,7 +117,7 @@ def test_operator_norm_matches_gram_eigenvalue():
     for m in (20, 60, 100):
         b = rng.standard_normal((m, m))
         est = la.operator_norm_2(la.DenseOperator(b), tol=1e-11, maxit=50000)
-        gram_vals, _ = la.symmetric_eig_dense(b.T @ b, tol=1e-12)
+        gram_vals, _ = la.symmetric_eig_dense(b.T @ b)
         sigma = np.sqrt(gram_vals[-1])
         assert abs(est.value - sigma) <= 1e-6 * sigma
 
@@ -150,16 +140,6 @@ def test_orthonormal_complement_properties():
     np.testing.assert_allclose(np.abs(comp[:, 0]), np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
     with pytest.raises(la.ZeroVector):
         la.orthonormal_complement(np.zeros(3))
-
-
-def test_tridiagonalize_preserves_spectrum():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((30, 30))
-    a = a + a.T
-    t = la.tridiagonalize_dense(a)
-    vals_t = la.eigvals_tridiagonal(t)
-    vals_a, _ = la.symmetric_eig_dense(a)
-    np.testing.assert_allclose(vals_t, vals_a, atol=1e-9)
 
 
 def test_cg_solver():
