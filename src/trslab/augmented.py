@@ -103,14 +103,13 @@ def assemble_projected(T, beta0, delta):
     return out
 
 
-def eigpair_from_trs(T, lam, h, beta0=None, delta=None, tol=1e-10):
+def eigpair_from_trs(T, lam, h, beta0, delta, tol=1e-10):
     """Rightmost eigenpair of the projected augmented matrix, in closed form.
 
     For a boundary TRS solution (lam, h) the eigenvector is z1 ~ h,
     z2 = (T + lam I)^{-1} z1, normalized to unit length; the eigenvalue is
     lam itself.  The residual ||M_k z - lam z|| is verified against tol
-    times a two-norm estimate of M_k before returning.  beta0 and delta
-    default to the values implied by the TRS system when not supplied.
+    times a two-norm estimate of M_k before returning.
     """
     h = np.asarray(h, dtype=float)
     z1 = h / float(np.linalg.norm(h))
@@ -118,10 +117,6 @@ def eigpair_from_trs(T, lam, h, beta0=None, delta=None, tol=1e-10):
     scale = math.sqrt(float(z1 @ z1 + z2 @ z2))
     z1 = z1 / scale
     z2 = z2 / scale
-    if beta0 is None:
-        beta0 = -float((T.matvec(h) + lam * h)[0])
-    if delta is None:
-        delta = float(np.linalg.norm(h))
     mk = assemble_projected(T, beta0, delta)
     z = np.concatenate([z1, z2])
     resid = float(np.linalg.norm(mk @ z - lam * z))
@@ -145,12 +140,12 @@ def recover_solution(y1, y2, g, delta):
     return -(delta * delta / gy2) * y1
 
 
-def spectral_condition(T, lam, z1, z2=None):
+def spectral_condition(T, lam, z1):
     """Sensitivity of the rightmost projected eigenvalue: 1/(2 z1^T (T+lam I)^{-1} z1).
 
-    (z1; z2) must be the unit-length eigenvector; z2 is accepted for
-    interface symmetry but the solve is done fresh so the identity
-    z1^T z2 = z1^T (T+lam I)^{-1} z1 is not assumed.
+    z1 is the leading half of the unit-length eigenvector (z1; z2).  The
+    solve is done fresh, so the identity z1^T z2 = z1^T (T+lam I)^{-1} z1
+    is not assumed.
     """
     z1 = np.asarray(z1, dtype=float)
     w = solve_shifted(T, lam, z1)

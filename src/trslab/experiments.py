@@ -208,7 +208,9 @@ def generate(spec):
         dense = G + G.T
         g = rng.standard_normal(n)
         g /= float(np.linalg.norm(g))
-        lo, hi = _extremal_estimate_dense(dense, seed=spec.seed + 1)
+        lo, hi = estimate_extremal_eigenvalues(
+            SymmetricLinearOperator.from_dense(dense), seed=spec.seed + 1
+        )
         dense /= max(abs(lo), abs(hi))
         if params:
             raise InvalidSpec(f"unknown params {sorted(params)} for family 4")
@@ -243,11 +245,6 @@ def generate(spec):
         reflectors = [rng.standard_normal(n) for _ in range(2)]
         return HouseholderSimilarityOperator(d, reflectors), g
     return SymmetricLinearOperator.from_diagonal(d), g
-
-
-def _extremal_estimate_dense(dense, seed, steps=None, tol=1e-12):
-    op = SymmetricLinearOperator.from_dense(dense)
-    return estimate_extremal_eigenvalues(op, seed=seed, steps=steps, tol=tol)
 
 
 def estimate_extremal_eigenvalues(A, seed=0, steps=None, tol=1e-12):
@@ -390,9 +387,11 @@ def run_experiment(
     checkpoints = set(range(0, last_k + 1, max(checkpoint_every, 1)))
     checkpoints.add(last_k)
 
-    # reference value of the leading resolvent moment, from the closed-form
-    # objective identity at the optimum
-    ref_moment = -(2.0 * ref.q_opt + ref.lambda_opt * delta * delta) / (beta0 * beta0)
+    # reference value of the leading resolvent moment g'(A + lam I)^-1 g / beta0^2,
+    # the limit of moment1 below; s_opt = -(A + lam I)^-1 g gives it directly,
+    # whereas the objective identity -(2 q_opt + lam delta^2) / beta0^2 also
+    # needs ||s_opt|| = delta and is off by lam (||s_opt||^2 - delta^2) / beta0^2
+    ref_moment = -float(g @ ref.s_opt) / (beta0 * beta0)
 
     cols = {name: np.full(nk, np.nan) for name in CSV_COLUMNS}
     cols["k"] = np.array([r.k for r in records], dtype=float)
@@ -448,9 +447,7 @@ def run_experiment(
             diag_data["sep"][idx] = sep
             if sep > 0.0:
                 cols["sin_angle_bound"][idx] = bnd.sin_angle_bound(k, sd, ref.m_norm, sep)
-            diag_data["spectral_condition"][idx] = spectral_condition(
-                t_k, rec.lam, pair.z1, pair.z2
-            )
+            diag_data["spectral_condition"][idx] = spectral_condition(t_k, rec.lam, pair.z1)
 
         if diagnostics:
             basis_k = run.factorization.basis[:, : k + 1]

@@ -1,7 +1,7 @@
 """Dense and tridiagonal linear-algebra kernels.
 
 The tridiagonal kernels are the solver's own: LDL^T factorization of
-shifted symmetric tridiagonals and Sturm-sequence bisection for their
+shifted symmetric tridiagonals and LDL' pivot bisection for their
 extremal eigenvalues.  Dense symmetric eigenproblems, which only the oracle
 and the harness need, go to LAPACK through numpy.linalg.  Also here: power
 iteration for operator 2-norms, a Householder orthonormal complement and
@@ -209,25 +209,29 @@ def solve_shifted(T, lam, rhs):
     return np.array(h)
 
 
-def _sturm_counts(diag, off_sq, shifts):
-    """Number of eigenvalues of the tridiagonal strictly below each shift."""
-    shifts = np.asarray(shifts, dtype=float)
-    tiny = np.finfo(float).tiny
-    d = diag[0] - shifts
-    d = np.where(d == 0.0, -tiny, d)
-    count = (d < 0.0).astype(np.intp)
-    for i in range(1, diag.size):
-        d = diag[i] - shifts - off_sq[i - 1] / d
-        d = np.where(d == 0.0, -tiny, d)
-        count += d < 0.0
-    return count
+def _bisect_theta_min(T, lo, hi, tol):
+    """Bisect [lo, hi] down to theta_min(T).
+
+    T - x*I fails to factor (IndefiniteShift) exactly when x >= theta_min.
+    The 200-step cap ends the loop when tol is below one ulp of the eigenvalue.
+    """
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        try:
+            ldl_shifted(T, -mid)
+            lo = mid
+        except IndefiniteShift:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def extremal_eig_tridiagonal(T, tol=None):
-    """Extremal eigenvalues (theta_min, theta_max) by Sturm-sequence bisection.
+    """Extremal eigenvalues (theta_min, theta_max) by LDL' pivot bisection.
 
     The bracket starts from the Gershgorin discs; default tolerance is
-    1e-13 times the bracket width.
+    1e-13 times the bracket width.  theta_max(T) is -theta_min(-T).
     """
     m = T.order
     if m == 1:
@@ -241,27 +245,9 @@ def extremal_eig_tridiagonal(T, tol=None):
     width = max(hi - lo, np.finfo(float).tiny)
     if tol is None or tol <= 0.0:
         tol = 1e-13 * width
-    off_sq = T.offdiag * T.offdiag
-
-    # bisect for the smallest and largest eigenvalue simultaneously
-    a = np.array([lo, lo])
-    b = np.array([hi, hi])
-    for _ in range(200):
-        if float(np.max(b - a)) <= tol:
-            break
-        mid = 0.5 * (a + b)
-        counts = _sturm_counts(T.diag, off_sq, mid)
-        # smallest: keep count >= 1 on the right end
-        if counts[0] >= 1:
-            b[0] = mid[0]
-        else:
-            a[0] = mid[0]
-        # largest: keep count <= m-1 on the left end
-        if counts[1] >= m:
-            b[1] = mid[1]
-        else:
-            a[1] = mid[1]
-    return float(0.5 * (a[0] + b[0])), float(0.5 * (a[1] + b[1]))
+    theta_min = _bisect_theta_min(T, lo, hi, tol)
+    negated = SymmetricTridiagonal(-T.diag, T.offdiag)
+    return theta_min, -_bisect_theta_min(negated, -hi, -lo, tol)
 
 
 def symmetric_eig_dense(a):

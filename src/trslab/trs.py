@@ -3,7 +3,7 @@
 Two routes are provided on purpose.  The production path solves the reduced
 tridiagonal problem (T + lam*I) h = -beta0*e1 with a bracketed Newton
 iteration on 1/||h(lam)|| - 1/delta, using LDL^T solves only at positive
-definite shifts and Sturm bisection for theta_min(T).  The oracle path
+definite shifts and LDL' pivot bisection for theta_min(T).  The oracle path
 eigendecomposes a small dense matrix with LAPACK (numpy.linalg.eigh) and
 solves the explicit secular function in the eigenbasis; it is the
 brute-force reference in every equivalence test and shares no code with the
@@ -246,8 +246,6 @@ def _theta_min_estimate(apply_a, g, n, operator=None):
     if operator is not None and getattr(operator, "dense", None) is not None:
         if operator.dense.shape[0] <= 600:
             return smallest_eig_dense(operator.dense)
-    if n == 1:
-        return float(apply_a(np.ones(1))[0])
 
     rng = np.random.default_rng(20240925)
     start = rng.standard_normal(n) + np.asarray(g, dtype=float)

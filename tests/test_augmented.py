@@ -103,7 +103,7 @@ def test_recover_solution_homogeneity_and_hard_signal():
 def test_spectral_condition_scalar_instance():
     T = la.SymmetricTridiagonal([1.0], [])
     s5 = np.sqrt(5.0)
-    value = aug.spectral_condition(T, 1.0, np.array([2.0 / s5]), np.array([1.0 / s5]))
+    value = aug.spectral_condition(T, 1.0, np.array([2.0 / s5]))
     assert value == pytest.approx(1.25, abs=1e-12)
 
 

@@ -57,6 +57,19 @@ def test_solve_shifted_random_residuals():
         assert resid <= 1e-12 * np.linalg.norm(rhs)
 
 
+def _assert_extremal_eig_close(T, tol=None):
+    # each end within the bisection tolerance (default 1e-13 times the
+    # Gershgorin width) plus rounding, against LAPACK
+    lo, hi = la.extremal_eig_tridiagonal(T, tol=tol)
+    a = T.to_dense()
+    vals = np.linalg.eigvalsh(a)
+    if tol is None:
+        radius = np.abs(a).sum(axis=1) - np.abs(T.diag)
+        tol = 1e-13 * (np.max(T.diag + radius) - np.min(T.diag - radius))
+    for got, want in ((lo, vals[0]), (hi, vals[-1])):
+        assert abs(got - want) <= tol + 1e-12 * (1 + abs(want))
+
+
 def test_extremal_eig_examples():
     T = la.SymmetricTridiagonal([2.0, 2.0], [1.0])
     lo, hi = la.extremal_eig_tridiagonal(T)
@@ -65,6 +78,10 @@ def test_extremal_eig_examples():
     assert lo == hi == 5.0
     lo, hi = la.extremal_eig_tridiagonal(la.SymmetricTridiagonal([-2.0, 0.0, 2.0], [0.0, 0.0]))
     np.testing.assert_allclose([lo, hi], [-2.0, 2.0], atol=1e-10)
+    # repeated eigenvalues, decoupled blocks, a coupling whose square underflows
+    _assert_extremal_eig_close(la.SymmetricTridiagonal([3.0, -1.0, 3.0, -1.0, 3.0], [0.0] * 4))
+    _assert_extremal_eig_close(la.SymmetricTridiagonal([2.0, 2.0, 5.0, 5.0], [1.0, 0.0, -1.0]))
+    _assert_extremal_eig_close(la.SymmetricTridiagonal([1.0, 2.0], [1e-200]))
 
 
 def test_extremal_eig_matches_dense_oracle():
@@ -76,6 +93,20 @@ def test_extremal_eig_matches_dense_oracle():
         vals, _ = la.symmetric_eig_dense(T.to_dense())
         assert abs(lo - vals[0]) <= 1e-10 * (1 + abs(vals[0]))
         assert abs(hi - vals[-1]) <= 1e-10 * (1 + abs(vals[-1]))
+    m = 30
+    signs = (-1.0) ** np.arange(m - 1)
+    cluster = la.SymmetricTridiagonal(
+        1.0 + 1e-9 * rng.uniform(size=m), 1e-10 * rng.uniform(size=m - 1)
+    )
+    mixed = la.SymmetricTridiagonal(rng.standard_normal(m), signs * rng.uniform(0.5, 2.0, m - 1))
+    graded_diag = np.logspace(-8, 7, m)
+    graded = la.SymmetricTridiagonal(graded_diag, 0.5 * np.sqrt(graded_diag[:-1] * graded_diag[1:]))
+    for T in (cluster, mixed, graded):
+        _assert_extremal_eig_close(T)
+        _assert_extremal_eig_close(T, tol=1e-12)
+    # one ulp of the eigenvalues exceeds tol: the step cap ends the bisection
+    scaled = la.SymmetricTridiagonal(1e6 * rng.standard_normal(m), 1e6 * rng.standard_normal(m - 1))
+    _assert_extremal_eig_close(scaled, tol=1e-12)
 
 
 def test_jacobi_examples():

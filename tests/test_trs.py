@@ -109,6 +109,10 @@ def test_kkt_exact_solution():
     assert rep.stationarity <= 1e-12
     assert abs(rep.complementarity) <= 1e-12
     assert rep.curvature_margin >= -1e-12
+    # a bare callable carries no spectrum: theta_min comes from the Krylov estimate
+    rep = trs.check_kkt(lambda v: 2.0 * v, np.array([4.0]), 1.0, 2.0, np.array([-1.0]))
+    assert rep.passed
+    assert rep.curvature_margin == pytest.approx(4.0, abs=1e-12)
 
 
 def test_kkt_detects_perturbed_multiplier():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trslab import verify
+from trslab.experiments import ProblemSpec, run_experiment
 from trslab.trs import BOUNDARY
 
 
@@ -50,6 +51,14 @@ def test_dominance_check_rejects_deflated_bounds(small_run):
     bad = dataclasses.replace(small_run, table=bad_table)
     passed, _, detail = verify.check_dominance(bad)
     assert not passed and "q_gap" in detail
+
+
+def test_dominance_holds_where_cg_gap_reaches_the_floor():
+    # family 2 instance whose cg_gap levels off near 1e-13: the reference
+    # moment must carry no error of its own there
+    result = run_experiment(ProblemSpec("2", 2000, 1.0, 4095827048))
+    passed, _, detail = verify.check_dominance(result)
+    assert passed, detail
 
 
 def test_chebyshev_check_sensitive_to_recurrence(monkeypatch):
