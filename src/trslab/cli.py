@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import experiments as ex
-from .gltr import gltr_solve
+from .gltr import K_MAX, gltr_solve
 from .linalg import NoConvergence, SymmetricLinearOperator
 from .mmio import ParseError, read_matrix_market, read_vector
 from .trs import NearHardCase, check_kkt
@@ -110,6 +110,9 @@ def _cmd_solve(args):
             k_max=args.kmax,
             verify_residuals=args.verify_residuals,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except NearHardCase as exc:
         payload = {
             "error": "near_hard_case",
@@ -155,6 +158,8 @@ def _cmd_solve(args):
     if args.solution_out:
         with open(args.solution_out, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(format(v, ".17g") for v in result.s) + "\n")
+    if result.termination == K_MAX:
+        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 

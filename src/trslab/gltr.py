@@ -83,15 +83,22 @@ def gltr_solve(
     breakdown (the projected solution is then exact), or at k_max.  The
     multiplier from step k seeds the secular solve at step k+1; multipliers
     are nondecreasing, so the previous value is a valid lower bound.
+
+    The Lanczos basis reserves min(n, k_max + 1) columns up front, of which
+    only those written become resident.  The returned factorization holds
+    only the columns it uses.  Raises ValueError, before any Lanczos work, if
+    g has a non-finite entry or delta is not in (0, inf).
     """
     g = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient must be finite")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     beta0 = float(np.linalg.norm(g))
     if beta0 == 0.0:
         raise ZeroGradient("gradient must be nonzero")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
 
-    fact = lanczos_run(A, g, 0, breakdown_tol=breakdown_tol)
+    fact = lanczos_run(A, g, 0, breakdown_tol=breakdown_tol, capacity=k_max + 1)
     history: list[ConvergenceRecord] = []
     iterates = [] if keep_iterates else None
     warm = None
@@ -141,6 +148,6 @@ def gltr_solve(
         s=s,
         q=final.q,
         termination=termination,
-        factorization=fact,
+        factorization=fact.trimmed(),
         iterates=iterates,
     )

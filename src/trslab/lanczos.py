@@ -4,12 +4,20 @@ A run produces the orthonormal basis Q_k and the projected tridiagonal T_k
 satisfying the three-term relation A Q_k = Q_k T_k + beta_{k+1} q_{k+1} e_{k+1}^T.
 Full two-pass Gram-Schmidt against every stored basis vector keeps the basis
 orthonormal to machine precision, which all downstream accuracy checks rely on.
-Factorizations are immutable; extending one returns a new value that is
-entrywise identical to a longer fresh run.
+
+A run writes its basis into one column-major n x capacity store that grows
+in place (doubling when full), and the reorthogonalization works on the
+filled prefix of that store directly.  A factorization's `basis` is a
+read-only view of that prefix.  Factorizations are immutable values:
+extending one appends to its store when it is the newest value on that store,
+and otherwise copies its basis into a new store first, so earlier values
+never change.  Either way the result is entrywise identical to a longer
+fresh run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +33,42 @@ class AlreadyBrokenDown(Exception):
     pass
 
 
+class _ColumnStore:
+    """Column-major n x capacity buffer whose first `filled` columns are written.
+
+    Column-major keeps every prefix contiguous with leading dimension n, so
+    BLAS sees the same operands, and rounds the same way, whatever the
+    capacity.
+    """
+
+    def __init__(self, n, capacity):
+        self.array = np.empty((n, capacity), order="F")
+        self.filled = 0
+
+    def append(self, column):
+        n, capacity = self.array.shape
+        if self.filled == capacity:
+            grown = np.empty((n, min(n, 2 * capacity)), order="F")
+            grown[:, :capacity] = self.array
+            self.array = grown
+        self.array[:, self.filled] = column
+        self.filled += 1
+
+    def prefix(self):
+        view = self.array[:, : self.filled]
+        view.flags.writeable = False
+        return view
+
+
 @dataclass(frozen=True)
 class LanczosFactorization:
-    basis: np.ndarray  # n x (k+1), orthonormal columns q_0 .. q_k
+    basis: np.ndarray  # n x (k+1), orthonormal columns q_0 .. q_k, read-only
     tridiag: SymmetricTridiagonal  # order k+1
     beta0: float  # ||g||
     beta_next: float  # beta_{k+1}
     broken_down: bool
     next_vector: np.ndarray | None  # q_{k+1}, kept so the run can be resumed
+    _store: _ColumnStore | None = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def k(self):
@@ -42,16 +78,30 @@ class LanczosFactorization:
     def dim(self):
         return self.basis.shape[0]
 
+    def trimmed(self):
+        """The same factorization, holding no more basis columns than it uses.
 
-def _grow(A, columns, diag, off, q_prev, q_cur, beta_cur, order_target, breakdown_tol):
+        Returns self when its store has no spare columns; otherwise the basis
+        is copied out and the store is dropped.
+        """
+        if self._store is None or self._store.array.shape[1] == self.basis.shape[1]:
+            return self
+        basis = self.basis.copy(order="F")
+        basis.flags.writeable = False
+        return dataclasses.replace(self, basis=basis, _store=None)
+
+
+def _grow(A, store, diag, off, q_prev, beta_cur, order_target, breakdown_tol):
     """Advance the three-term recurrence until `order_target` steps are done.
 
-    Invariant on entry: `diag` has one entry fewer than `columns`, and
-    `q_cur == columns[-1]` is the vector still to be processed.  The lists
-    are mutated in place; returns (beta_next, q_next, broken_down).
+    Invariant on entry: `diag` has one entry fewer than `store.filled`, and
+    the last filled column is the vector still to be processed.  The store
+    and the lists are mutated in place; returns (beta_next, q_next, broken_down).
     """
-    n = q_cur.size
+    n = store.array.shape[0]
     while True:
+        j = store.filled
+        q_cur = store.array[:, j - 1]
         w = A.apply(q_cur)
         delta = float(q_cur @ w)
         diag.append(delta)
@@ -59,7 +109,7 @@ def _grow(A, columns, diag, off, q_prev, q_cur, beta_cur, order_target, breakdow
         if q_prev is not None:
             r = r - beta_cur * q_prev
         # complete reorthogonalization, two classical Gram-Schmidt passes
-        qmat = np.stack(columns, axis=1)
+        qmat = store.array[:, :j]
         for _ in range(2):
             r = r - qmat @ (qmat.T @ r)
         beta = float(np.linalg.norm(r))
@@ -69,33 +119,36 @@ def _grow(A, columns, diag, off, q_prev, q_cur, beta_cur, order_target, breakdow
             left = abs(off[i - 1]) if i > 0 else 0.0
             right = abs(off[i]) if i < len(off) else beta
             scale = max(scale, abs(diag[i]) + left + right)
-        if beta <= breakdown_tol * scale or len(columns) >= n:
+        if beta <= breakdown_tol * scale or j >= n:
             return beta, None, True
         q_next = r / beta
-        if len(columns) == order_target:
+        if j == order_target:
             return beta, q_next, False
         off.append(beta)
-        columns.append(q_next)
-        q_prev, q_cur, beta_cur = q_cur, q_next, beta
+        store.append(q_next)
+        q_prev, beta_cur = q_cur, beta
 
 
-def _assemble(columns, diag, off, beta0, beta_next, q_next, broken):
-    basis = np.stack(columns, axis=1)
+def _assemble(store, diag, off, beta0, beta_next, q_next, broken):
     tridiag = SymmetricTridiagonal(np.array(diag), np.array(off))
     return LanczosFactorization(
-        basis=basis,
+        basis=store.prefix(),
         tridiag=tridiag,
         beta0=beta0,
         beta_next=beta_next,
         broken_down=broken,
         next_vector=q_next,
+        _store=store,
     )
 
 
-def lanczos_run(A, g, k_max, breakdown_tol=1e-12):
+def lanczos_run(A, g, k_max, breakdown_tol=1e-12, capacity=None):
     """Run the Lanczos process on (A, g) through step min(k_max, breakdown).
 
     The first basis vector is g normalized, so Q_k^T g = beta0 * e_1.
+    `capacity` is the number of basis columns to reserve, k_max + 1 by
+    default (at most n); a caller that will extend the run passes the final
+    count it expects.  Only the columns written become resident memory.
     """
     g = np.asarray(g, dtype=float)
     beta0 = float(np.linalg.norm(g))
@@ -103,21 +156,22 @@ def lanczos_run(A, g, k_max, breakdown_tol=1e-12):
         raise ZeroStartVector("start vector has zero norm")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    q0 = g / beta0
-    columns = [q0]
+    if capacity is None:
+        capacity = k_max + 1
+    store = _ColumnStore(g.size, max(1, min(g.size, capacity)))
+    store.append(g / beta0)
     diag: list[float] = []
     off: list[float] = []
-    beta_next, q_next, broken = _grow(
-        A, columns, diag, off, None, q0, 0.0, k_max + 1, breakdown_tol
-    )
-    return _assemble(columns, diag, off, beta0, beta_next, q_next, broken)
+    beta_next, q_next, broken = _grow(A, store, diag, off, None, 0.0, k_max + 1, breakdown_tol)
+    return _assemble(store, diag, off, beta0, beta_next, q_next, broken)
 
 
 def extend_lanczos(f, A, steps, breakdown_tol=1e-12):
     """Continue a factorization by the given number of steps.
 
     Extending is deterministic: the result matches a single longer run
-    entrywise.  Raises AlreadyBrokenDown if the process already terminated.
+    entrywise, and f itself is left unchanged.  Raises AlreadyBrokenDown if
+    the process already terminated.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -125,16 +179,20 @@ def extend_lanczos(f, A, steps, breakdown_tol=1e-12):
         return f
     if f.broken_down:
         raise AlreadyBrokenDown("Lanczos process has already broken down")
-    columns = [f.basis[:, i] for i in range(f.basis.shape[1])]
+    order = f.tridiag.order
+    store = f._store
+    if store is None or store.filled != order:
+        # f has no store or was extended before: branch into a copy
+        store = _ColumnStore(f.dim, min(f.dim, order + steps))
+        store.array[:, :order] = f.basis
+        store.filled = order
     diag = f.tridiag.diag.tolist()
     off = f.tridiag.offdiag.tolist()
     # re-enter the recurrence at the dangling (beta_next, q_next) step
     off.append(f.beta_next)
-    columns.append(f.next_vector)
-    q_prev = columns[-2]
-    q_cur = columns[-1]
-    order_target = len(diag) + steps
+    store.append(f.next_vector)
+    q_prev = store.array[:, order - 1]
     beta_next, q_next, broken = _grow(
-        A, columns, diag, off, q_prev, q_cur, f.beta_next, order_target, breakdown_tol
+        A, store, diag, off, q_prev, f.beta_next, order + steps, breakdown_tol
     )
-    return _assemble(columns, diag, off, f.beta0, beta_next, q_next, broken)
+    return _assemble(store, diag, off, f.beta0, beta_next, q_next, broken)

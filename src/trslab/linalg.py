@@ -213,12 +213,16 @@ def _bisect_theta_min(T, lo, hi, tol):
     """Bisect [lo, hi] down to theta_min(T).
 
     T - x*I fails to factor (IndefiniteShift) exactly when x >= theta_min.
-    The 200-step cap ends the loop when tol is below one ulp of the eigenvalue.
+    The loop also ends when the midpoint no longer splits the bracket, which
+    happens when tol is below one ulp of the eigenvalue; the 200-step cap is
+    only a backstop.
     """
     for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         try:
             ldl_shifted(T, -mid)
             lo = mid

@@ -72,6 +72,30 @@ def test_solve_near_hard_exit_code(tmp_path, capsys):
     assert out["kkt"]["curvature_margin"] < 0
 
 
+@pytest.mark.parametrize("delta", ["inf", "nan", "0"])
+def test_solve_invalid_radius_exit_code(one_by_one, capsys, delta):
+    mtx, grad = one_by_one
+    code = main(["solve", mtx, "--gradient", grad, "--delta", delta])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_solve_budget_exhausted_exit_code(tmp_path, capsys):
+    entries = "".join(f"{i} {i} {float(i)}\n" for i in range(1, 21))
+    mtx = _write(
+        tmp_path,
+        "d20.mtx",
+        "%%MatrixMarket matrix coordinate real symmetric\n20 20 20\n" + entries,
+    )
+    code = main(["solve", mtx, "--seed-gradient", "3", "--kmax", "3"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert out["termination"] == "k_max"
+    assert out["iterations"] == 4
+
+
 def test_solve_writes_solution_and_verifies(one_by_one, tmp_path, capsys):
     mtx, grad = one_by_one
     out_path = tmp_path / "s.txt"

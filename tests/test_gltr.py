@@ -5,12 +5,14 @@ from trslab import linalg as la
 from trslab import trs
 from trslab.gltr import (
     BREAKDOWN,
+    K_MAX,
     RESIDUAL_TOL,
     ZeroGradient,
     explicit_residual,
     gltr_solve,
     objective_via_tridiagonal,
 )
+from trslab.lanczos import lanczos_run
 
 
 def diag_op(d):
@@ -41,6 +43,47 @@ def test_three_distinct_eigenvalues_match_dense_oracle():
 def test_zero_gradient_rejected():
     with pytest.raises(ZeroGradient):
         gltr_solve(diag_op([1.0, 2.0]), np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize(
+    "g_entry, delta",
+    [
+        (np.nan, 1.0),
+        (np.inf, 1.0),
+        (-np.inf, 1.0),
+        (1.0, np.inf),
+        (1.0, np.nan),
+        (1.0, 0.0),
+        (1.0, -1.0),
+    ],
+)
+def test_nonfinite_input_rejected_before_lanczos(g_entry, delta):
+    applies = []
+
+    def apply(v):
+        applies.append(1)
+        return 2.0 * v
+
+    A = la.SymmetricLinearOperator(3, apply)
+    g = np.array([1.0, g_entry, 0.5])
+    with pytest.raises(ValueError):
+        gltr_solve(A, g, delta)
+    assert applies == []
+
+
+@pytest.mark.parametrize("k_max, resid_tol", [(40, 1e-10), (12, 0.0)])
+def test_returned_basis_matches_fresh_run_bitwise(k_max, resid_tol):
+    rng = np.random.default_rng(21)
+    A = diag_op(rng.standard_normal(400))
+    g = rng.standard_normal(400)
+    res = gltr_solve(A, g, 1.0, resid_tol=resid_tol, k_max=k_max)
+    k = res.history[-1].k
+    # the basis is reserved for k_max + 1 columns, a fresh run for k + 1
+    assert (k == k_max) == (res.termination == K_MAX)
+    fresh = lanczos_run(A, g, k)
+    assert np.array_equal(res.factorization.basis, fresh.basis)
+    assert np.array_equal(res.factorization.tridiag.diag, fresh.tridiag.diag)
+    assert res.factorization.trimmed() is res.factorization
 
 
 def test_objective_closed_form_one_by_one():

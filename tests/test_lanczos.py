@@ -40,16 +40,60 @@ def test_zero_start_vector_rejected():
         lanczos_run(diag_op([1.0, 2.0]), np.zeros(2), 3)
 
 
+def _assert_same_factorization(a, b):
+    assert np.array_equal(a.basis, b.basis)
+    assert np.array_equal(a.tridiag.diag, b.tridiag.diag)
+    assert np.array_equal(a.tridiag.offdiag, b.tridiag.offdiag)
+    assert a.beta_next == b.beta_next
+    assert np.array_equal(a.next_vector, b.next_vector)
+
+
 def test_extension_matches_longer_run_bitwise():
     rng = np.random.default_rng(7)
     A = diag_op(rng.standard_normal(500))
     g = rng.standard_normal(500)
-    full = lanczos_run(A, g, 5)
-    stepped = extend_lanczos(lanczos_run(A, g, 2), A, 3)
-    assert np.array_equal(full.basis, stepped.basis)
-    assert np.array_equal(full.tridiag.diag, stepped.tridiag.diag)
-    assert np.array_equal(full.tridiag.offdiag, stepped.tridiag.offdiag)
-    assert full.beta_next == stepped.beta_next
+    # a run reserves start + 1 basis columns; each extension below outgrows
+    # that store at least once, so the doubling path is crossed
+    for start, steps in [(2, 3), (0, 40), (7, 30)]:
+        full = lanczos_run(A, g, start + steps)
+        stepped = extend_lanczos(lanczos_run(A, g, start), A, steps)
+        _assert_same_factorization(full, stepped)
+        one_at_a_time = lanczos_run(A, g, start)
+        for _ in range(steps):
+            one_at_a_time = extend_lanczos(one_at_a_time, A, 1)
+        _assert_same_factorization(full, one_at_a_time)
+
+
+def test_extending_one_factorization_twice_keeps_both_values():
+    rng = np.random.default_rng(11)
+    A = diag_op(rng.standard_normal(300))
+    g = rng.standard_normal(300)
+    base = lanczos_run(A, g, 3)
+    first = extend_lanczos(base, A, 4)
+    first_basis = first.basis.copy()
+    first_diag = first.tridiag.diag.copy()
+    # base no longer ends its store, so this extension works on a copy
+    second = extend_lanczos(base, A, 6)
+    assert np.array_equal(first.basis, first_basis)
+    assert np.array_equal(first.tridiag.diag, first_diag)
+    _assert_same_factorization(base, lanczos_run(A, g, 3))
+    _assert_same_factorization(first, lanczos_run(A, g, 7))
+    _assert_same_factorization(second, lanczos_run(A, g, 9))
+    # first still ends the original store and extends it in place
+    _assert_same_factorization(extend_lanczos(first, A, 2), second)
+
+
+def test_basis_is_read_only():
+    # three distinct eigenvalues: breakdown after 3 of the 11 reserved columns
+    A = diag_op(np.repeat([1.0, 2.0, 3.0], 10))
+    f = lanczos_run(A, np.ones(30), 10)
+    assert f.broken_down and f.k == 2
+    trimmed = f.trimmed()
+    assert trimmed is not f
+    assert np.array_equal(trimmed.basis, f.basis)
+    for basis in (f.basis, trimmed.basis):
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
 
 
 def test_extend_by_zero_is_identity():

@@ -84,7 +84,7 @@ def test_extremal_eig_examples():
     _assert_extremal_eig_close(la.SymmetricTridiagonal([1.0, 2.0], [1e-200]))
 
 
-def test_extremal_eig_matches_dense_oracle():
+def test_extremal_eig_matches_dense_oracle(monkeypatch):
     rng = np.random.default_rng(3)
     for _ in range(25):
         m = int(rng.integers(1, 51))
@@ -104,9 +104,19 @@ def test_extremal_eig_matches_dense_oracle():
     for T in (cluster, mixed, graded):
         _assert_extremal_eig_close(T)
         _assert_extremal_eig_close(T, tol=1e-12)
-    # one ulp of the eigenvalues exceeds tol: the step cap ends the bisection
+    # one ulp of the eigenvalues exceeds tol: bisection ends once the bracket
+    # cannot split, well before the 200-step cap on each end
     scaled = la.SymmetricTridiagonal(1e6 * rng.standard_normal(m), 1e6 * rng.standard_normal(m - 1))
+    calls = []
+    ldl_shifted = la.ldl_shifted
+
+    def counting_ldl_shifted(*args, **kwargs):
+        calls.append(1)
+        return ldl_shifted(*args, **kwargs)
+
+    monkeypatch.setattr(la, "ldl_shifted", counting_ldl_shifted)
     _assert_extremal_eig_close(scaled, tol=1e-12)
+    assert 0 < len(calls) <= 120
 
 
 def test_jacobi_examples():
