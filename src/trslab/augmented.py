@@ -207,10 +207,9 @@ class _ProjectedOffdiagonal:
         return y - self._project(y)
 
 
-def gamma_tilde(M, Q, tol=1e-6, maxit=2000, seed=0):
+def gamma_tilde(M, Q):
     """Norm of the projected off-diagonal block pi M (I - pi); diagnostic only."""
-    est = operator_norm_2(_ProjectedOffdiagonal(M, Q), tol=tol, maxit=maxit, seed=seed)
-    return est.value
+    return operator_norm_2(_ProjectedOffdiagonal(M, Q), tol=1e-6, maxit=2000, seed=0).value
 
 
 def solution_sine(s_k, s_opt):

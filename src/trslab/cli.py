@@ -1,7 +1,8 @@
 """Command-line surface: solve TRS instances, run named experiments, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 near-hard
-case (a JSON diagnostic is still printed), 4 iteration-budget exhaustion.
+Exit codes: 0 success, 1 verification failure, 2 parse error or invalid
+input, 3 near-hard case (a JSON diagnostic is still printed), 4
+iteration-budget exhaustion.
 """
 
 from __future__ import annotations
@@ -189,6 +190,9 @@ def _cmd_experiment(args):
             resid_tol=args.resid_tol,
             checkpoint_every=args.checkpoints,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except NearHardCase as exc:
         print(json.dumps({"error": "near_hard_case", "boundary_norm_gap": exc.gap}, indent=2))
         return EXIT_NEAR_HARD

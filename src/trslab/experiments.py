@@ -247,16 +247,14 @@ def generate(spec):
     return SymmetricLinearOperator.from_diagonal(d), g
 
 
-def estimate_extremal_eigenvalues(A, seed=0, steps=None, tol=1e-12):
-    """Extremal eigenvalues of a symmetric operator via a seeded Krylov run."""
+def estimate_extremal_eigenvalues(A, seed=0):
+    """Extremal eigenvalues of a symmetric operator via a seeded Krylov run
+    of min(n - 1, 260) steps."""
     n = A.dim
-    if steps is None:
-        steps = min(n - 1, 260)
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(n)
-    fact = lanczos_run(A, start, steps)
-    lo, hi = extremal_eig_tridiagonal(fact.tridiag, tol=tol)
-    return lo, hi
+    fact = lanczos_run(A, start, min(n - 1, 260))
+    return extremal_eig_tridiagonal(fact.tridiag)
 
 
 @dataclass
@@ -274,7 +272,7 @@ class ReferenceSolution:
     y2: np.ndarray
 
 
-def reference_solution(A, g, delta, tol=1e-14, m_norm_tol=1e-8, m_norm_maxit=20000):
+def reference_solution(A, g, delta, tol=1e-14):
     """High-accuracy reference (lambda_opt, s_opt, ...) for error measurement.
 
     Operators with a known spectrum get a direct secular solve in the
@@ -311,7 +309,7 @@ def reference_solution(A, g, delta, tol=1e-14, m_norm_tol=1e-8, m_norm_maxit=200
 
     sd = bnd.spectrum_data(alpha1, alpha_n, lam, beta0, delta)
     m_op = AugmentedOperator(A, g, delta)
-    m_norm = operator_norm_2(m_op, tol=m_norm_tol, maxit=m_norm_maxit, seed=7).value
+    m_norm = operator_norm_2(m_op, tol=1e-8, maxit=20000, seed=7).value
 
     stack_norm = math.sqrt(float(s_opt @ s_opt + y2_raw @ y2_raw))
     y1 = s_opt / stack_norm

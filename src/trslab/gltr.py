@@ -87,13 +87,18 @@ def gltr_solve(
     The Lanczos basis reserves min(n, k_max + 1) columns up front, of which
     only those written become resident.  The returned factorization holds
     only the columns it uses.  Raises ValueError, before any Lanczos work, if
-    g has a non-finite entry or delta is not in (0, inf).
+    g has a non-finite entry, delta is not in (0, inf), k_max is negative or
+    resid_tol is not >= 0 (a NaN would disable the stopping test).
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient must be finite")
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max!r}")
+    if not resid_tol >= 0.0:
+        raise ValueError(f"resid_tol must be >= 0, got {resid_tol!r}")
     beta0 = float(np.linalg.norm(g))
     if beta0 == 0.0:
         raise ZeroGradient("gradient must be nonzero")

@@ -91,6 +91,19 @@ class LanczosFactorization:
         return dataclasses.replace(self, basis=basis, _store=None)
 
 
+def _gershgorin_scale(diag, off, beta):
+    """Largest Gershgorin row of T so far, beta closing the last row: a
+    running estimate of ||A|| for the breakdown test.
+
+    Row i adds |off[i-1]|, then |off[i]|, to |diag[i]|, in that order.
+    """
+    rows = np.abs(np.array(diag))
+    edges = np.abs(np.array(off + [beta]))
+    rows[1:] += edges[:-1]
+    rows += edges
+    return max(1e-300, float(rows.max()))
+
+
 def _grow(A, store, diag, off, q_prev, beta_cur, order_target, breakdown_tol):
     """Advance the three-term recurrence until `order_target` steps are done.
 
@@ -113,13 +126,7 @@ def _grow(A, store, diag, off, q_prev, beta_cur, order_target, breakdown_tol):
         for _ in range(2):
             r = r - qmat @ (qmat.T @ r)
         beta = float(np.linalg.norm(r))
-        # running estimate of ||A|| from the Gershgorin rows of T so far
-        scale = 1e-300
-        for i in range(len(diag)):
-            left = abs(off[i - 1]) if i > 0 else 0.0
-            right = abs(off[i]) if i < len(off) else beta
-            scale = max(scale, abs(diag[i]) + left + right)
-        if beta <= breakdown_tol * scale or j >= n:
+        if beta <= breakdown_tol * _gershgorin_scale(diag, off, beta) or j >= n:
             return beta, None, True
         q_next = r / beta
         if j == order_target:

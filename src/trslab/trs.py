@@ -3,11 +3,12 @@
 Two routes are provided on purpose.  The production path solves the reduced
 tridiagonal problem (T + lam*I) h = -beta0*e1 with a bracketed Newton
 iteration on 1/||h(lam)|| - 1/delta, using LDL^T solves only at positive
-definite shifts and LDL' pivot bisection for theta_min(T).  The oracle path
+definite shifts.  It asks LAPACK (numpy.linalg.eigvalsh) for theta_min(T)
+alone; lam and h come from the LDL' Newton iteration.  The oracle path
 eigendecomposes a small dense matrix with LAPACK (numpy.linalg.eigh) and
 solves the explicit secular function in the eigenbasis; it is the
-brute-force reference in every equivalence test and shares no code with the
-production path.
+brute-force reference in every equivalence test and shares neither the
+LDL' kernels nor the secular iteration with the production path.
 """
 
 from __future__ import annotations

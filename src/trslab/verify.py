@@ -91,10 +91,10 @@ def check_oracle_equivalence(instances=500, seed=123):
     return passed, margin, detail
 
 
-def _run_family(family, scale, seed=0, diagnostics=False):
+def _run_family(family, scale, seed=0):
     n = _FAMILY_SIZES[scale][family]
     spec = ex.default_spec(family, n=n, seed=seed)
-    return ex.run_experiment(spec, diagnostics=diagnostics)
+    return ex.run_experiment(spec)
 
 
 def check_residual_identity(result):

@@ -82,6 +82,30 @@ def test_solve_invalid_radius_exit_code(one_by_one, capsys, delta):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("solve", "--kmax", "-1"),
+        ("solve", "--tol", "nan"),
+        ("experiment", "--kmax", "-1"),
+        ("experiment", "--resid-tol", "nan"),
+    ],
+)
+def test_invalid_budget_or_tolerance_exit_code(one_by_one, tmp_path, capsys, command, flag, value):
+    out_dir = tmp_path / "out"
+    if command == "solve":
+        mtx, grad = one_by_one
+        argv = ["solve", mtx, "--gradient", grad]
+    else:
+        argv = ["experiment", "1a", "--n", "50", "--out", str(out_dir)]
+    code = main(argv + [flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_solve_budget_exhausted_exit_code(tmp_path, capsys):
     entries = "".join(f"{i} {i} {float(i)}\n" for i in range(1, 21))
     mtx = _write(

@@ -46,18 +46,21 @@ def test_zero_gradient_rejected():
 
 
 @pytest.mark.parametrize(
-    "g_entry, delta",
+    "g_entry, delta, kwargs",
     [
-        (np.nan, 1.0),
-        (np.inf, 1.0),
-        (-np.inf, 1.0),
-        (1.0, np.inf),
-        (1.0, np.nan),
-        (1.0, 0.0),
-        (1.0, -1.0),
+        pytest.param(np.nan, 1.0, {}, id="nan-1.0"),
+        pytest.param(np.inf, 1.0, {}, id="inf-1.0"),
+        pytest.param(-np.inf, 1.0, {}, id="-inf-1.0"),
+        pytest.param(1.0, np.inf, {}, id="1.0-inf"),
+        pytest.param(1.0, np.nan, {}, id="1.0-nan"),
+        pytest.param(1.0, 0.0, {}, id="1.0-0.0"),
+        pytest.param(1.0, -1.0, {}, id="1.0--1.0"),
+        pytest.param(1.0, 1.0, {"k_max": -1}, id="k_max=-1"),
+        pytest.param(1.0, 1.0, {"resid_tol": np.nan}, id="resid_tol=nan"),
+        pytest.param(1.0, 1.0, {"resid_tol": -1e-13}, id="resid_tol=-1e-13"),
     ],
 )
-def test_nonfinite_input_rejected_before_lanczos(g_entry, delta):
+def test_nonfinite_input_rejected_before_lanczos(g_entry, delta, kwargs):
     applies = []
 
     def apply(v):
@@ -67,7 +70,7 @@ def test_nonfinite_input_rejected_before_lanczos(g_entry, delta):
     A = la.SymmetricLinearOperator(3, apply)
     g = np.array([1.0, g_entry, 0.5])
     with pytest.raises(ValueError):
-        gltr_solve(A, g, delta)
+        gltr_solve(A, g, delta, **kwargs)
     assert applies == []
 
 

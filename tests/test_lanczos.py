@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from trslab import linalg as la
-from trslab.lanczos import AlreadyBrokenDown, ZeroStartVector, extend_lanczos, lanczos_run
+from trslab.lanczos import (
+    AlreadyBrokenDown,
+    ZeroStartVector,
+    _gershgorin_scale,
+    extend_lanczos,
+    lanczos_run,
+)
 
 
 def diag_op(d):
@@ -156,3 +162,25 @@ def test_breakdown_at_distinct_eigenvalue_count(m):
     f = lanczos_run(A, g, 50)
     assert f.broken_down
     assert f.k == m - 1
+
+
+def test_breakdown_scale_matches_row_loop():
+    # the per-row loop the vectorized scale replaced: same additions, same order
+    def row_loop(diag, off, beta):
+        scale = 1e-300
+        for i in range(len(diag)):
+            left = abs(off[i - 1]) if i > 0 else 0.0
+            right = abs(off[i]) if i < len(off) else beta
+            scale = max(scale, abs(diag[i]) + left + right)
+        return scale
+
+    rng = np.random.default_rng(17)
+    cases = [([0.0], [], 0.0), ([-2.0], [], 1e-320), ([1.0, -3.0], [0.5], 2.0)]
+    for _ in range(300):
+        m = int(rng.integers(1, 40))
+        exponents = rng.uniform(-12, 12, 2 * m)
+        values = rng.standard_normal(2 * m) * 10.0**exponents
+        # beta is a norm, so never negative
+        cases.append((values[:m].tolist(), values[m : 2 * m - 1].tolist(), abs(float(values[-1]))))
+    for diag, off, beta in cases:
+        assert _gershgorin_scale(diag, off, beta) == row_loop(diag, off, beta)
