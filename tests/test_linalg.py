@@ -83,11 +83,12 @@ def test_extremal_eig_examples():
     lo, hi = la.extremal_eig_tridiagonal(la.SymmetricTridiagonal([-2.0, 0.0, 2.0], [0.0, 0.0]))
     np.testing.assert_allclose([lo, hi], [-2.0, 2.0], atol=1e-10)
     # repeated eigenvalues, decoupled blocks, a coupling whose square underflows
-    _assert_extremal_eig_splits_pivots(
-        la.SymmetricTridiagonal([3.0, -1.0, 3.0, -1.0, 3.0], [0.0] * 4)
-    )
-    _assert_extremal_eig_splits_pivots(la.SymmetricTridiagonal([2.0, 2.0, 5.0, 5.0], [1.0, 0.0, -1.0]))
-    _assert_extremal_eig_splits_pivots(la.SymmetricTridiagonal([1.0, 2.0], [1e-200]))
+    for diag, offdiag in (
+        ([3.0, -1.0, 3.0, -1.0, 3.0], [0.0] * 4),
+        ([2.0, 2.0, 5.0, 5.0], [1.0, 0.0, -1.0]),
+        ([1.0, 2.0], [1e-200]),
+    ):
+        _assert_extremal_eig_splits_pivots(la.SymmetricTridiagonal(diag, offdiag))
 
 
 def test_extremal_eig_matches_dense_oracle():
