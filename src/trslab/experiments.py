@@ -34,7 +34,7 @@ from .augmented import (
     spectral_condition,
     subspace_sine,
 )
-from .gltr import gltr_solve
+from .gltr import check_budget, gltr_solve
 from .lanczos import lanczos_run
 from .linalg import (
     SymmetricLinearOperator,
@@ -83,8 +83,8 @@ class ProblemSpec:
             raise InvalidSpec(f"unknown family {self.family!r}")
         if self.family != "file" and self.n < 2:
             raise InvalidSpec("n must be >= 2")
-        if self.delta <= 0.0:
-            raise InvalidSpec("delta must be positive")
+        if not 0.0 < self.delta < np.inf:
+            raise InvalidSpec(f"delta must be positive and finite, got {self.delta!r}")
 
     def to_json(self):
         return json.dumps(
@@ -362,7 +362,10 @@ def run_experiment(
 
     The separation-based angle bound is evaluated at checkpoint iterations
     (it costs dense work at size 2(k+1)); other columns exist at every k.
+    Raises ValueError for a negative k_max or a resid_tol not >= 0 before
+    generating the instance.
     """
+    check_budget(k_max, resid_tol)
     A, g = generate(spec)
     ref = reference_solution(A, g, spec.delta)
     beta0 = float(np.linalg.norm(g))

@@ -66,6 +66,15 @@ def explicit_residual(A, g, lam, s):
     return float(np.linalg.norm(A.apply(s) + lam * s + np.asarray(g, dtype=float)))
 
 
+def check_budget(k_max, resid_tol):
+    """Raise ValueError if k_max is negative or resid_tol is not >= 0 (a NaN
+    would disable the stopping test)."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max!r}")
+    if not resid_tol >= 0.0:
+        raise ValueError(f"resid_tol must be >= 0, got {resid_tol!r}")
+
+
 def gltr_solve(
     A,
     g,
@@ -87,18 +96,15 @@ def gltr_solve(
     The Lanczos basis reserves min(n, k_max + 1) columns up front, of which
     only those written become resident.  The returned factorization holds
     only the columns it uses.  Raises ValueError, before any Lanczos work, if
-    g has a non-finite entry, delta is not in (0, inf), k_max is negative or
-    resid_tol is not >= 0 (a NaN would disable the stopping test).
+    g has a non-finite entry, delta is not in (0, inf), or `check_budget`
+    rejects k_max or resid_tol.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient must be finite")
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max!r}")
-    if not resid_tol >= 0.0:
-        raise ValueError(f"resid_tol must be >= 0, got {resid_tol!r}")
+    check_budget(k_max, resid_tol)
     beta0 = float(np.linalg.norm(g))
     if beta0 == 0.0:
         raise ZeroGradient("gradient must be nonzero")

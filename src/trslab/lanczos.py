@@ -2,8 +2,12 @@
 
 A run produces the orthonormal basis Q_k and the projected tridiagonal T_k
 satisfying the three-term relation A Q_k = Q_k T_k + beta_{k+1} q_{k+1} e_{k+1}^T.
-Full two-pass Gram-Schmidt against every stored basis vector keeps the basis
-orthonormal to machine precision, which all downstream accuracy checks rely on.
+Every step reorthogonalizes against every stored basis vector: one classical
+Gram-Schmidt pass, a second only when the first cancels (Kahan-Parlett
+"twice is enough").  That keeps the basis orthonormal to machine precision,
+which all downstream accuracy checks rely on, while most steps read the
+basis once for the projection and once for the correction instead of twice
+each.
 
 A run writes its basis into one column-major n x capacity store that grows
 in place (doubling when full), and the reorthogonalization works on the
@@ -104,6 +108,24 @@ def _gershgorin_scale(diag, off, beta):
     return max(1e-300, float(rows.max()))
 
 
+def _reorthogonalize(qmat, r):
+    """Remove from r its components along the orthonormal columns of qmat.
+
+    One classical Gram-Schmidt pass, and a second only when the first left
+    ||r|| below ||r_before|| / sqrt(2): a pass that shrinks r less than that
+    leaves it orthogonal to working precision (Kahan-Parlett "twice is
+    enough"; Parlett, The Symmetric Eigenvalue Problem; Giraud, Langou and
+    Rozloznik 2005).  Returns (r, ||r||, passes).
+    """
+    before = float(np.linalg.norm(r))
+    r = r - qmat @ (qmat.T @ r)
+    beta = float(np.linalg.norm(r))
+    if beta >= before / np.sqrt(2.0):
+        return r, beta, 1
+    r = r - qmat @ (qmat.T @ r)
+    return r, float(np.linalg.norm(r)), 2
+
+
 def _grow(A, store, diag, off, q_prev, beta_cur, order_target, breakdown_tol):
     """Advance the three-term recurrence until `order_target` steps are done.
 
@@ -121,11 +143,9 @@ def _grow(A, store, diag, off, q_prev, beta_cur, order_target, breakdown_tol):
         r = w - delta * q_cur
         if q_prev is not None:
             r = r - beta_cur * q_prev
-        # complete reorthogonalization, two classical Gram-Schmidt passes
-        qmat = store.array[:, :j]
-        for _ in range(2):
-            r = r - qmat @ (qmat.T @ r)
-        beta = float(np.linalg.norm(r))
+        # complete reorthogonalization: one classical Gram-Schmidt pass, a
+        # second only when the first cancels (Kahan-Parlett)
+        r, beta, _ = _reorthogonalize(store.array[:, :j], r)
         if beta <= breakdown_tol * _gershgorin_scale(diag, off, beta) or j >= n:
             return beta, None, True
         q_next = r / beta

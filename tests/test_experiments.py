@@ -21,6 +21,23 @@ def test_spec_json_roundtrip(tmp_path):
         ex.ProblemSpec(family="9z", n=100)
     with pytest.raises(ex.InvalidSpec):
         ex.ProblemSpec(family="2", n=100, delta=-1.0)
+    for delta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ex.InvalidSpec):
+            ex.ProblemSpec(family="2", n=100, delta=delta)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"k_max": -1}, "k_max must be >= 0"), ({"resid_tol": float("nan")}, "resid_tol must be >= 0")],
+    ids=["k_max", "resid_tol"],
+)
+def test_run_experiment_rejects_budget_before_generating(monkeypatch, kwargs, message):
+    def fail(spec):
+        raise AssertionError("generate ran before the budget was checked")
+
+    monkeypatch.setattr(ex, "generate", fail)
+    with pytest.raises(ValueError, match=message):
+        ex.run_experiment(ex.default_spec("4", n=50), **kwargs)
 
 
 def test_evenly_spaced_spectrum_endpoints():

@@ -6,6 +6,7 @@ from trslab.lanczos import (
     AlreadyBrokenDown,
     ZeroStartVector,
     _gershgorin_scale,
+    _reorthogonalize,
     extend_lanczos,
     lanczos_run,
 )
@@ -184,3 +185,56 @@ def test_breakdown_scale_matches_row_loop():
         cases.append((values[:m].tolist(), values[m : 2 * m - 1].tolist(), abs(float(values[-1]))))
     for diag, off, beta in cases:
         assert _gershgorin_scale(diag, off, beta) == row_loop(diag, off, beta)
+
+
+def _max_component_along(Q, r):
+    return np.abs(Q.T @ r).max() / np.linalg.norm(r)
+
+
+def test_second_pass_runs_when_the_first_cancels():
+    rng = np.random.default_rng(23)
+    n, m = 2000, 40
+    Q, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    c = rng.standard_normal(m)
+    r = Q @ c + 1e-10 * rng.standard_normal(n)
+    out, beta, passes = _reorthogonalize(Q, r)
+    assert passes == 2
+    assert beta == np.linalg.norm(out)
+    assert _max_component_along(Q, out) <= 1e-14
+    # one pass alone leaves a rounding-size multiple of ||c|| along Q, far
+    # above the working precision of the 1e-10-sized remainder
+    lone = r - Q @ (Q.T @ r)
+    assert _max_component_along(Q, lone) >= 1e-9
+
+
+def test_one_pass_suffices_without_cancellation():
+    rng = np.random.default_rng(29)
+    n, m = 2000, 40
+    Q, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    r = 1e-3 * Q @ rng.standard_normal(m) + rng.standard_normal(n)
+    out, beta, passes = _reorthogonalize(Q, r)
+    assert passes == 1
+    assert beta == np.linalg.norm(out)
+    assert _max_component_along(Q, out) <= 1e-14
+
+
+def _adversarial_spectra(n, rng):
+    # 20 clusters of width 1e-10
+    clusters = np.repeat(np.linspace(-1.0, 1.0, 20), n // 20) + rng.uniform(-5e-11, 5e-11, n)
+    # signed magnitudes graded from 1e-8 to 1e8
+    graded = np.logspace(-8, 8, n) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    # two clusters far apart, near 0 and near 1e6
+    half = n // 2
+    far = np.concatenate([1e-3 * rng.uniform(0.0, 1.0, half), 1e6 + rng.uniform(0.0, 1.0, n - half)])
+    return {"clusters": clusters, "graded": graded, "far_clusters": far}
+
+
+def test_basis_stays_orthonormal_over_long_runs_on_adversarial_spectra():
+    rng = np.random.default_rng(31)
+    n, steps = 3000, 300
+    for name, d in _adversarial_spectra(n, rng).items():
+        f = lanczos_run(diag_op(d), rng.standard_normal(n), steps)
+        assert not f.broken_down and f.k == steps, name
+        Q = f.basis
+        loss = np.abs(Q.T @ Q - np.eye(steps + 1)).max()
+        assert loss <= 1e-13, (name, loss)
