@@ -5,9 +5,8 @@ satisfying the three-term relation A Q_k = Q_k T_k + beta_{k+1} q_{k+1} e_{k+1}^
 Every step reorthogonalizes against every stored basis vector: one classical
 Gram-Schmidt pass, a second only when the first cancels (Kahan-Parlett
 "twice is enough").  That keeps the basis orthonormal to machine precision,
-which all downstream accuracy checks rely on, while most steps read the
-basis once for the projection and once for the correction instead of twice
-each.
+which all downstream accuracy checks rely on, and most steps read the basis
+twice (Q' r, then Q times the result) rather than four times.
 
 A run writes its basis into one column-major n x capacity store that grows
 in place (doubling when full), and the reorthogonalization works on the

@@ -82,17 +82,6 @@ def test_solve_invalid_radius_exit_code(one_by_one, capsys, delta):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("delta", ["inf", "nan", "0"])
-def test_experiment_invalid_radius_exit_code(tmp_path, capsys, delta):
-    out_dir = tmp_path / "out"
-    code = main(["experiment", "1a", "--n", "50", "--out", str(out_dir), "--delta", delta])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: ")
-    assert captured.out == ""
-    assert not out_dir.exists()
-
-
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -100,6 +89,9 @@ def test_experiment_invalid_radius_exit_code(tmp_path, capsys, delta):
         ("solve", "--tol", "nan"),
         ("experiment", "--kmax", "-1"),
         ("experiment", "--resid-tol", "nan"),
+        ("experiment", "--delta", "nan"),
+        ("experiment", "--delta", "inf"),
+        ("experiment", "--delta", "0"),
     ],
 )
 def test_invalid_budget_or_tolerance_exit_code(one_by_one, tmp_path, capsys, command, flag, value):

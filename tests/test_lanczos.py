@@ -218,21 +218,19 @@ def test_one_pass_suffices_without_cancellation():
     assert _max_component_along(Q, out) <= 1e-14
 
 
-def _adversarial_spectra(n, rng):
-    # 20 clusters of width 1e-10
-    clusters = np.repeat(np.linspace(-1.0, 1.0, 20), n // 20) + rng.uniform(-5e-11, 5e-11, n)
-    # signed magnitudes graded from 1e-8 to 1e8
-    graded = np.logspace(-8, 8, n) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    # two clusters far apart, near 0 and near 1e6
-    half = n // 2
-    far = np.concatenate([1e-3 * rng.uniform(0.0, 1.0, half), 1e6 + rng.uniform(0.0, 1.0, n - half)])
-    return {"clusters": clusters, "graded": graded, "far_clusters": far}
-
-
 def test_basis_stays_orthonormal_over_long_runs_on_adversarial_spectra():
     rng = np.random.default_rng(31)
     n, steps = 3000, 300
-    for name, d in _adversarial_spectra(n, rng).items():
+    half = n // 2
+    spectra = {
+        "20 clusters of width 1e-10": np.repeat(np.linspace(-1.0, 1.0, 20), n // 20)
+        + rng.uniform(-5e-11, 5e-11, n),
+        "signed, graded 1e-8..1e8": np.logspace(-8, 8, n) * np.where(np.arange(n) % 2, -1.0, 1.0),
+        "clusters near 0 and 1e6": np.concatenate(
+            [1e-3 * rng.uniform(0.0, 1.0, half), 1e6 + rng.uniform(0.0, 1.0, n - half)]
+        ),
+    }
+    for name, d in spectra.items():
         f = lanczos_run(diag_op(d), rng.standard_normal(n), steps)
         assert not f.broken_down and f.k == steps, name
         Q = f.basis
