@@ -1,8 +1,8 @@
 """Command-line surface: solve TRS instances, run named experiments, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error or invalid
-input, 3 near-hard case (a JSON diagnostic is still printed), 4
-iteration-budget exhaustion.
+Exit codes: 0 success, 1 verification failure (a failed `verify` suite or
+`solve` KKT check), 2 parse error or invalid input, 3 near-hard case (a JSON
+diagnostic is still printed), 4 iteration-budget exhaustion; 3 and 4 win over 1.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def _cmd_solve(args):
             fh.write("\n".join(format(v, ".17g") for v in result.s) + "\n")
     if result.termination == K_MAX:
         return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return EXIT_OK if kkt.passed else EXIT_FAIL
 
 
 def _cmd_experiment(args):

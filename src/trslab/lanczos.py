@@ -16,16 +16,22 @@ extending one appends to its store when it is the newest value on that store,
 and otherwise copies its basis into a new store first, so earlier values
 never change.  Either way the result is entrywise identical to a longer
 fresh run.
+
+The package's one estimator of extremal eigenvalues and operator 2-norms
+also lives here: a seeded run grown until its extreme Ritz values settle
+(Lanczos, not the power method: Kuczynski and Wozniakowski, SIAM J. Matrix
+Anal. Appl. 1992).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SymmetricTridiagonal
+from .linalg import SymmetricLinearOperator, SymmetricTridiagonal, extremal_eig_tridiagonal
 
 
 class ZeroStartVector(Exception):
@@ -222,3 +228,41 @@ def extend_lanczos(f, A, steps, breakdown_tol=1e-12):
         A, store, diag, off, q_prev, f.beta_next, order + steps, breakdown_tol
     )
     return _assemble(store, diag, off, f.beta0, beta_next, q_next, broken)
+
+
+def _settled_extremes(A, watch_bottom):
+    """Extreme Ritz values (theta_min, theta_max) of one seeded run on A.
+
+    The run starts from a fixed seeded Gaussian vector and grows 10 steps at
+    a time until it breaks down, reaches min(n - 1, 260) steps, or its
+    watched extremes (the top one, and the bottom one if watch_bottom) move
+    by at most 1e-14 * max(|theta_min|, |theta_max|) over a block.
+    """
+    k_cap = min(A.dim - 1, 260)
+    start = np.random.default_rng(0).standard_normal(A.dim)
+    f = lanczos_run(A, start, min(k_cap, 10), capacity=k_cap + 1)
+    lo, hi = extremal_eig_tridiagonal(f.tridiag)
+    while not f.broken_down and f.k < k_cap:
+        f = extend_lanczos(f, A, min(10, k_cap - f.k))
+        prev_lo, prev_hi = lo, hi
+        lo, hi = extremal_eig_tridiagonal(f.tridiag)
+        moved = max(abs(hi - prev_hi), abs(lo - prev_lo) if watch_bottom else 0.0)
+        if moved <= 1e-14 * max(abs(lo), abs(hi)):
+            break
+    return lo, hi
+
+
+def estimate_extremal_eigenvalues(A):
+    """Smallest and largest eigenvalue (lo, hi) of a symmetric operator."""
+    return _settled_extremes(A, watch_bottom=True)
+
+
+def operator_norm_2(op):
+    """Spectral norm of an operator with `shape`, `apply` and `apply_transpose`.
+
+    Lanczos on op' op watches only the top end: the bottom end of a Gram
+    operator converges slowly and is not needed.
+    """
+    gram = SymmetricLinearOperator(op.shape[1], lambda v: op.apply_transpose(op.apply(v)))
+    _, top = _settled_extremes(gram, watch_bottom=False)
+    return math.sqrt(max(top, 0.0))

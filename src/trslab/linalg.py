@@ -4,16 +4,15 @@ The tridiagonal kernels are the solver's own: LDL^T factorization and
 solves of shifted symmetric tridiagonals.  Eigenvalues go to LAPACK through
 numpy.linalg: the extremal ones of a tridiagonal that the solver needs, and
 the dense symmetric eigenproblems of the oracle and the harness.  Also
-here: power iteration for operator 2-norms, a Householder orthonormal
-complement and conjugate gradients.  All randomness flows through
-explicitly seeded generators.
+here: a Householder orthonormal complement and conjugate gradients.
+Operator 2-norms and extremal eigenvalues of operators are estimated by
+Lanczos in the lanczos module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -149,20 +148,6 @@ class SymmetricLinearOperator:
         return cls(dim, apply_fn)
 
 
-class DenseOperator:
-    """General (possibly nonsymmetric) dense operator for norm estimation."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
-        self.shape = self.a.shape
-
-    def apply(self, v):
-        return self.a @ v
-
-    def apply_transpose(self, v):
-        return self.a.T @ v
-
-
 def ldl_shifted(T, lam):
     """LDL^T factorization of T + lam*I without pivoting.
 
@@ -232,52 +217,6 @@ def symmetric_eig_dense(a):
 def smallest_eig_dense(a):
     """Smallest eigenvalue of a dense symmetric matrix (no eigenvectors)."""
     return float(np.linalg.eigvalsh(a)[0])
-
-
-class NormEstimate(NamedTuple):
-    value: float
-    converged: bool
-    iterations: int
-
-
-def operator_norm_2(op, tol=1e-8, maxit=5000, seed=0):
-    """Spectral norm estimate by power iteration on op^T op.
-
-    Starts from a seeded Gaussian vector and stops when the relative change
-    of the estimate stays below tol on two consecutive iterations; always
-    returns the best estimate together with a convergence flag.
-    """
-    rows, cols = op.shape
-    if cols < 1:
-        raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(cols)
-    nv = float(np.linalg.norm(v))
-    v = v / nv
-    sigma = 0.0
-    quiet = 0
-    it = 0
-    for it in range(1, maxit + 1):
-        w = op.apply(v)
-        z = op.apply_transpose(w)
-        new_sigma = float(np.linalg.norm(w))
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            # v lies in the null space of op^T op; redraw
-            v = rng.standard_normal(cols)
-            v /= float(np.linalg.norm(v))
-            if new_sigma == 0.0 and it > 3:
-                return NormEstimate(0.0, True, it)
-            continue
-        v = z / nz
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, np.finfo(float).tiny):
-            quiet += 1
-        else:
-            quiet = 0
-        sigma = new_sigma
-        if quiet >= 2:
-            return NormEstimate(sigma, True, it)
-    return NormEstimate(sigma, False, it)
 
 
 def orthonormal_complement(v):

@@ -1,11 +1,13 @@
 """Minimal Matrix Market input for symmetric problems.
 
 Supports the coordinate format (real, symmetric or general) and the dense
-array format.  Parse failures carry the offending line number so the CLI
-can report it.
+array format.  Parse failures, a nan or inf entry among them, carry the
+offending line number so the CLI can report it before any solver work.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,6 +23,16 @@ def _data_lines(path):
     with open(path, "r", encoding="ascii") as fh:
         for line_no, raw in enumerate(fh, start=1):
             yield line_no, raw.rstrip("\n")
+
+
+def _real(path, line_no, tok):
+    try:
+        value = float(tok)
+    except ValueError:
+        raise ParseError(path, line_no, f"malformed value {tok!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(path, line_no, f"nonfinite value {tok!r}")
+    return value
 
 
 def read_matrix_market(path, sym_tol=1e-12):
@@ -75,11 +87,10 @@ def read_matrix_market(path, sym_tol=1e-12):
             if len(parts) != 3:
                 raise ParseError(path, line_no, "entry line needs 'row col value'")
             try:
-                i = int(parts[0])
-                j = int(parts[1])
-                v = float(parts[2])
+                i, j = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(path, line_no, f"malformed entry {stripped!r}") from None
+            v = _real(path, line_no, parts[2])
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 raise ParseError(path, line_no, f"index ({i}, {j}) out of range")
             ii.append(i - 1)
@@ -118,11 +129,7 @@ def read_matrix_market(path, sym_tol=1e-12):
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue
-        for tok in stripped.split():
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise ParseError(path, line_no, f"malformed value {tok!r}") from None
+        values.extend(_real(path, line_no, tok) for tok in stripped.split())
     if len(values) != expected:
         raise ParseError(path, line_no, f"expected {expected} values, found {len(values)}")
     a = np.zeros((nrows, ncols))
@@ -159,11 +166,7 @@ def read_vector(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue
-        for tok in stripped.split():
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise ParseError(path, line_no, f"malformed value {tok!r}") from None
+        values.extend(_real(path, line_no, tok) for tok in stripped.split())
     if not values:
         raise ParseError(path, 0, "no values found")
     return np.array(values)

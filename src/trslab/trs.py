@@ -27,7 +27,7 @@ from .linalg import (
     solve_shifted,
     symmetric_eig_dense,
 )
-from . import lanczos as _lanczos
+from .lanczos import estimate_extremal_eigenvalues
 
 BOUNDARY = "boundary"
 INTERIOR = "interior"
@@ -240,19 +240,14 @@ def solve_trs_dense(A, g, delta, tol=1e-13, oracle_cap=500):
     return TrsSolution(lam, s, case, iterations)
 
 
-def _theta_min_estimate(apply_a, g, n, operator=None):
+def _theta_min_estimate(apply_a, n, operator=None):
     """Smallest-eigenvalue estimate for the curvature margin of the KKT check."""
-    if operator is not None and getattr(operator, "diagonal", None) is not None:
+    if getattr(operator, "diagonal", None) is not None:
         return float(np.min(operator.diagonal))
-    if operator is not None and getattr(operator, "dense", None) is not None:
-        if operator.dense.shape[0] <= 600:
-            return smallest_eig_dense(operator.dense)
-
-    rng = np.random.default_rng(20240925)
-    start = rng.standard_normal(n) + np.asarray(g, dtype=float)
-    op = SymmetricLinearOperator(n, apply_a)
-    fact = _lanczos.lanczos_run(op, start, min(n - 1, 120))
-    lo, _ = extremal_eig_tridiagonal(fact.tridiag)
+    dense = getattr(operator, "dense", None)
+    if dense is not None and dense.shape[0] <= 600:
+        return smallest_eig_dense(dense)
+    lo, _ = estimate_extremal_eigenvalues(SymmetricLinearOperator(n, apply_a))
     return lo
 
 
@@ -276,7 +271,7 @@ def check_kkt(apply_a, g, delta, lam, s, tol=1e-10):
     feasibility = delta - ns
     stationarity = float(np.linalg.norm(apply_fn(s) + lam * s + g))
     complementarity = lam * feasibility
-    theta_min = _theta_min_estimate(apply_fn, g, n, operator=operator)
+    theta_min = _theta_min_estimate(apply_fn, n, operator=operator)
     margin = theta_min + lam
     scale = float(np.linalg.norm(g)) + abs(lam) * delta + 1.0
     passed = (

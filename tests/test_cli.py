@@ -123,6 +123,45 @@ def test_solve_budget_exhausted_exit_code(tmp_path, capsys):
     assert out["iterations"] == 4
 
 
+def test_solve_failed_kkt_check_exit_code(tmp_path, capsys):
+    # a loose --tol stops the solve before stationarity meets the KKT check
+    d = np.linspace(-1.0, 3.0, 200)
+    entries = "".join(f"{i} {i} {float(v)!r}\n" for i, v in enumerate(d, start=1))
+    mtx = _write(
+        tmp_path,
+        "d200.mtx",
+        "%%MatrixMarket matrix coordinate real symmetric\n200 200 200\n" + entries,
+    )
+    code = main(["solve", mtx, "--seed-gradient", "1", "--tol", "1e-4"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["termination"] == "residual_tol"
+    assert out["kkt"]["passed"] is False
+    assert out["kkt"]["stationarity"] > 1e-10
+    assert main(["solve", mtx, "--seed-gradient", "1"]) == 0
+
+
+@pytest.mark.parametrize("where", ["matrix", "gradient"])
+def test_solve_rejects_nonfinite_input_before_solving(
+    one_by_one, tmp_path, capsys, monkeypatch, where
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("the solver ran on nonfinite input")
+
+    monkeypatch.setattr("trslab.cli.gltr_solve", fail)
+    mtx, grad = one_by_one
+    if where == "matrix":
+        header = "%%MatrixMarket matrix coordinate real symmetric\n"
+        mtx = _write(tmp_path, "inf.mtx", header + "1 1 1\n1 1 inf\n")
+    else:
+        grad = _write(tmp_path, "nan.txt", "nan\n")
+    code = main(["solve", mtx, "--gradient", grad])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "nonfinite" in captured.err
+    assert captured.out == ""
+
+
 def test_solve_writes_solution_and_verifies(one_by_one, tmp_path, capsys):
     mtx, grad = one_by_one
     out_path = tmp_path / "s.txt"

@@ -5,6 +5,7 @@ import pytest
 
 from trslab import experiments as ex
 from trslab import trs
+from trslab.augmented import AugmentedOperator
 from trslab.trs import check_kkt
 
 
@@ -86,8 +87,10 @@ def test_strakos_interior_value_ascending_form():
 def test_random_symmetric_family_is_unit_norm():
     spec = ex.ProblemSpec(family="4", n=300, seed=3)
     A, g = ex.generate(spec)
-    lo, hi = ex.estimate_extremal_eigenvalues(A, seed=99)
-    assert max(abs(lo), abs(hi)) == pytest.approx(1.0, abs=1e-9)
+    vals = np.linalg.eigvalsh(A.dense)
+    assert max(abs(vals[0]), abs(vals[-1])) == pytest.approx(1.0, abs=1e-9)
+    # the scaled extremes the operator carries to reference_solution
+    np.testing.assert_allclose(A.extremal_eigenvalues, (vals[0], vals[-1]), rtol=0, atol=1e-13)
     dense = A.dense
     assert np.abs(dense - dense.T).max() == 0.0
 
@@ -115,6 +118,14 @@ def test_orthogonal_similarity_preserves_measurements():
     assert ref.alpha_n == ref_base.alpha_n
     rep = check_kkt(A, g, 1.0, ref.lambda_opt, ref.s_opt, tol=1e-10)
     assert rep.passed
+
+
+@pytest.mark.parametrize("family", ["1a", "1b", "2", "3"])
+def test_reference_m_norm_matches_dense_two_norm(family):
+    A, g = ex.generate(ex.ProblemSpec(family=family, n=150, seed=2))
+    ref = ex.reference_solution(A, g, 1.0)
+    dense = np.linalg.norm(AugmentedOperator(A, g, 1.0).to_dense(), 2)
+    assert abs(ref.m_norm - dense) <= 1e-13 * dense
 
 
 def test_reference_identity_instance():

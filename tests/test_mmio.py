@@ -90,3 +90,24 @@ def test_read_vector(tmp_path):
     bad = _write(tmp_path, "vb.txt", "1.0 oops\n")
     with pytest.raises(mmio.ParseError):
         mmio.read_vector(bad)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_nonfinite_entries_are_parse_errors(tmp_path, token):
+    coordinate = _write(
+        tmp_path,
+        "c.mtx",
+        f"%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 2.0\n2 2 {token}\n",
+    )
+    array = _write(
+        tmp_path, "a.mtx", f"%%MatrixMarket matrix array real symmetric\n2 2\n2.0\n{token}\n3.0\n"
+    )
+    vector = _write(tmp_path, "v.txt", f"1.0\n2.0 {token}\n")
+    for read, path, line_no in (
+        (mmio.read_matrix_market, coordinate, 4),
+        (mmio.read_matrix_market, array, 4),
+        (mmio.read_vector, vector, 2),
+    ):
+        with pytest.raises(mmio.ParseError, match="nonfinite") as info:
+            read(path)
+        assert info.value.line_no == line_no
