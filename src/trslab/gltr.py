@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lanczos import extend_lanczos, lanczos_run
-from .linalg import solve_shifted
 from .trs import BOUNDARY, INTERIOR, solve_trs_tridiagonal
 
 RESIDUAL_TOL = "residual_tol"
@@ -34,6 +33,7 @@ class ConvergenceRecord:
     resid_formula: float
     last_entry: float
     case: str
+    secular_iterations: int
     resid_explicit: float | None = None
 
 
@@ -52,12 +52,13 @@ class GltrResult:
         return len(self.history)
 
 
-def objective_via_tridiagonal(T, lam, beta0, delta):
-    """Closed-form objective value for a boundary solution of the reduced TRS."""
-    e1 = np.zeros(T.order)
-    e1[0] = 1.0
-    x = solve_shifted(T, lam, e1)
-    return -0.5 * beta0 * beta0 * float(x[0]) - 0.5 * lam * delta * delta
+def objective_via_tridiagonal(h, lam, beta0, delta):
+    """Closed-form objective value for a boundary solution h of the reduced TRS.
+
+    (T + lam I) h = -beta0 e1 and ||h|| = delta give
+    beta0 h_0 + h'Th/2 = beta0 h_0 / 2 - lam delta^2 / 2, with no solve.
+    """
+    return 0.5 * beta0 * float(h[0]) - 0.5 * lam * delta * delta
 
 
 def explicit_residual(A, g, lam, s):
@@ -123,13 +124,19 @@ def gltr_solve(
         h = sol.h
         lam = sol.lam
         if sol.case == BOUNDARY:
-            q = objective_via_tridiagonal(T, lam, beta0, delta)
+            q = objective_via_tridiagonal(h, lam, beta0, delta)
         else:
             q = beta0 * float(h[0]) + 0.5 * float(h @ T.matvec(h))
         last = float(h[-1])
         resid_formula = fact.beta_next * abs(last)
         record = ConvergenceRecord(
-            k=k, lam=lam, q=q, resid_formula=resid_formula, last_entry=last, case=sol.case
+            k=k,
+            lam=lam,
+            q=q,
+            resid_formula=resid_formula,
+            last_entry=last,
+            case=sol.case,
+            secular_iterations=sol.secular_iterations,
         )
         if verify_residuals or keep_iterates:
             s = fact.basis @ h

@@ -3,8 +3,11 @@
 Two routes are provided on purpose.  The production path solves the reduced
 tridiagonal problem (T + lam*I) h = -beta0*e1 with a bracketed Newton
 iteration on 1/||h(lam)|| - 1/delta, using LDL^T solves only at positive
-definite shifts.  It asks LAPACK (numpy.linalg.eigvalsh) for theta_min(T)
-alone; lam and h come from the LDL' Newton iteration.  The oracle path
+definite shifts.  Its first factorization, at the lower end of the bracket
+(the previous Krylov step's multiplier), is the only test of whether
+theta_min(T) is needed: LAPACK (numpy.linalg.eigvalsh) is asked for it only
+when that shift is indefinite or falls short of the boundary.  lam and h
+come from the LDL' Newton iteration.  The oracle path
 eigendecomposes a small dense matrix with LAPACK (numpy.linalg.eigh) and
 solves the explicit secular function in the eigenbasis; it is the
 brute-force reference in every equivalence test and shares neither the
@@ -63,35 +66,52 @@ class TrsSolution:
 def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=None):
     """Solve min beta0*e1^T h + h^T T h / 2 subject to ||h|| <= delta.
 
-    Returns an interior solution (lam = 0) when T is positive definite and
-    the unconstrained minimizer fits inside the radius; otherwise finds the
-    boundary multiplier by safeguarded Newton with the bracket maintained at
-    every step.  `lam_lower` warm-starts the iteration (a valid lower bound
-    when multipliers are known to be nondecreasing).
+    `lam_lower` is a lower bound on the multiplier (the previous Krylov
+    step's, since multipliers are nondecreasing).  The first factorization
+    is of T + start*I, start = max(lam_lower, 0), and it alone decides
+    whether theta_min(T) is needed (More and Sorensen 1983).  If it is
+    positive definite, start = 0 and ||h|| < delta, the solution is interior
+    (lam = 0); if ||h|| >= delta*(1 - tol), the multiplier lies above start
+    and safeguarded Newton runs from there.  Only an indefinite start, or a
+    positive start whose ||h|| falls short of delta (a lower bound that
+    rounding pushed above the root), asks LAPACK for theta_min(T): a
+    near-hard probe just above max(0, -theta_min) follows, then Newton.
+
+    Once the bracket pinches to the resolution of lam, the boundary point
+    between its ends is returned (see _boundary_between).  Raises
+    ValueError unless beta0 and delta are positive and finite, NearHardCase
+    when no positive definite shift reaches the boundary, and NoConvergence
+    when max_iter Newton steps do not converge.
     """
-    if beta0 <= 0.0:
-        raise ValueError("beta0 must be positive")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    m = T.order
-    rhs = np.zeros(m)
+    if not 0.0 < beta0 < math.inf:
+        raise ValueError(f"beta0 must be positive and finite, got {beta0!r}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    rhs = np.zeros(T.order)
     rhs[0] = -beta0
+    t_norm = T.inf_norm()
+    # lam <= beta0/delta - theta_min <= beta0/delta + ||T||, with equality for
+    # a negative 1 x 1 T: doubling keeps the root strictly inside
+    hi = 2.0 * (beta0 / delta + t_norm)
+    # lam lies within ||T|| of beta0/delta, and T + lam*I resolves it no finer
+    # than rounding in its largest entries; hi - pinch stays above the root
+    pinch = 1e-14 * (t_norm + beta0 / delta)
+    start = lam_lower if lam_lower is not None and lam_lower > 0.0 else 0.0
+    try:
+        h = solve_shifted(T, start, rhs)
+    except IndefiniteShift:
+        h = None
+    if h is not None:
+        nh = float(np.linalg.norm(h))
+        if start == 0.0 and nh < delta:
+            return TrsSolution(0.0, h, INTERIOR, 1)
+        if nh >= delta * (1.0 - tol):
+            return _secular_newton(T, rhs, delta, tol, max_iter, start, hi, start, pinch, h=h)
 
     theta_min, _ = extremal_eig_tridiagonal(T)
-    iterations = 0
-
-    if theta_min > 0.0 and (lam_lower is None or lam_lower <= 0.0):
-        try:
-            h0 = solve_shifted(T, 0.0, rhs)
-            iterations += 1
-            if float(np.linalg.norm(h0)) < delta:
-                return TrsSolution(0.0, h0, INTERIOR, iterations)
-        except IndefiniteShift:
-            pass  # theta_min estimate was optimistic; treat as boundary
-
     lam_floor = max(0.0, -theta_min)
     scale = 1.0 + abs(theta_min)
-
+    iterations = 1
     # Probe just above the floor: if the solution norm is already inside the
     # radius there, no positive definite shift can reach the boundary.
     if lam_floor > 0.0:
@@ -110,53 +130,82 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
             if np_norm < delta * (1.0 - tol):
                 raise NearHardCase(delta - np_norm, theta_min=theta_min)
 
-    lo = lam_floor
-    hi = beta0 / delta + T.inf_norm()
-    if lam_lower is not None:
-        lo = max(lo, lam_lower - 1e-9 * (1.0 + abs(lam_lower)))
-    hi = max(hi, lo + 1.0)
+    # A positive definite start whose ||h|| fell short of delta lies above the
+    # root, and Newton steps down from it; after an indefinite one, Newton
+    # starts just above the floor.
+    if h is None:
+        start = lam_floor + max(beta0 / delta - theta_min, 1.0) * 1e-3
+        if not start < hi:
+            start = lam_floor + 0.5 * (hi - lam_floor)
+    return _secular_newton(
+        T, rhs, delta, tol, max_iter, lam_floor, hi, start, pinch, theta_min=theta_min,
+        h=h, iterations=iterations,
+    )
 
-    lam = lam_floor + max(beta0 / delta - theta_min, 1.0) * 1e-3
-    if lam_lower is not None:
-        lam = max(lam, lam_lower)
-    if not (lo < lam < hi):
-        lam = lo + 0.5 * (hi - lo)
 
-    saw_excess = False
-    h = None
+def _secular_newton(
+    T, rhs, delta, tol, max_iter, lo, hi, lam, pinch, theta_min=None, h=None, iterations=1
+):
+    """Safeguarded Newton on 1/||h(lam)|| - 1/delta inside the bracket [lo, hi].
+
+    `h`, if given, is the solution at the first iterate lam (counted in
+    `iterations`).  Once the bracket is pinched (hi - lo <= pinch) the
+    boundary point between its ends is returned; if no evaluated lam had
+    ||h|| > delta, the case is near-hard.
+    """
+    h_lo = h_hi = None  # solutions at the bracket ends, once evaluated
     for _ in range(max_iter):
-        iterations += 1
-        try:
-            h = solve_shifted(T, lam, rhs)
-        except IndefiniteShift:
-            lo = max(lo, lam)
-            lam = lo + 0.5 * (hi - lo)
-            continue
+        if h is None:
+            iterations += 1
+            try:
+                h = solve_shifted(T, lam, rhs)
+            except IndefiniteShift:
+                lo = max(lo, lam)
+                lam = lo + 0.5 * (hi - lo)
+                continue
         nh = float(np.linalg.norm(h))
         if abs(nh - delta) <= tol * delta:
             return TrsSolution(lam, h, BOUNDARY, iterations)
         if nh > delta:
-            saw_excess = True
-            lo = lam
+            lo, h_lo = lam, h
         else:
-            hi = lam
-        if hi - lo <= 1e-14 * scale:
-            if not saw_excess:
+            hi, h_hi = lam, h
+        if hi - lo <= pinch:
+            if h_lo is None:
                 raise NearHardCase(delta - nh, theta_min=theta_min)
-            # bracket pinched to rounding resolution; accept if close enough
-            if abs(nh - delta) <= 100.0 * tol * delta:
-                return TrsSolution(lam, h, BOUNDARY, iterations)
-            raise NoConvergence(
-                f"secular bracket collapsed with boundary residual {abs(nh - delta):.3e}",
-                residual=abs(nh - delta),
-            )
+            return _boundary_between(lo, h_lo, hi, h_hi, delta, iterations)
         w = solve_shifted(T, lam, h)
         hw = float(h @ w)
-        lam_new = lam + (nh - delta) / delta * (nh * nh / hw)
+        step = (nh - delta) / delta * (nh * nh / hw)
+        if abs(step) < 0.5 * pinch:
+            # a step below the resolution of lam: take half a pinch, so that
+            # the bracket can close around the root
+            step = math.copysign(0.5 * pinch, step)
+        lam_new = lam + step
         if not (lo < lam_new < hi):
             lam_new = lo + 0.5 * (hi - lo)
         lam = lam_new
+        h = None
     raise NoConvergence(f"secular iteration budget ({max_iter}) exhausted")
+
+
+def _boundary_between(lo, h_lo, hi, h_hi, delta, iterations):
+    """The point of norm delta on the segment from h(lo) to h(hi).
+
+    Near the hard case ||h(lam)|| can move by more than the tolerance within
+    one rounding unit of lam, so no representable lam meets it.  With
+    t in (0, 1) chosen so that ||(1 - t) h_lo + t h_hi|| = delta and
+    lam = (1 - t) lo + t hi, the residual (T + lam I) h + beta0 e1 equals
+    t (1 - t) (hi - lo) (h_lo - h_hi): the width of the pinched bracket.
+    """
+    d = h_hi - h_lo
+    a = float(d @ d)
+    b = 2.0 * float(h_lo @ d)
+    c = float(h_lo @ h_lo) - delta * delta
+    # f(t) = a t^2 + b t + c falls from f(0) > 0 to f(1) < 0, so b < 0; this
+    # is the smaller root in the form that does not cancel
+    t = 2.0 * c / (-b + math.sqrt(b * b - 4.0 * a * c))
+    return TrsSolution(lo + t * (hi - lo), h_lo + t * d, BOUNDARY, iterations)
 
 
 def solve_trs_spectral(eigenvalues, coeffs, delta, tol=1e-14, max_iter=300):

@@ -40,6 +40,19 @@ def test_three_distinct_eigenvalues_match_dense_oracle():
     np.testing.assert_allclose(res.s, oracle.h, atol=1e-10)
 
 
+def test_history_records_secular_iterations():
+    A = diag_op(np.linspace(-1.0, 1.0, 50))
+    g = np.ones(50) / np.sqrt(50)
+    res = gltr_solve(A, g, 1.0)
+    warm = None
+    for rec in res.history:
+        T = res.factorization.tridiag.leading(rec.k + 1)
+        sol = trs.solve_trs_tridiagonal(T, 1.0, 1.0, lam_lower=warm)
+        assert rec.secular_iterations == sol.secular_iterations >= 1
+        warm = rec.lam
+    assert max(rec.secular_iterations for rec in res.history) > 1
+
+
 def test_zero_gradient_rejected():
     with pytest.raises(ZeroGradient):
         gltr_solve(diag_op([1.0, 2.0]), np.zeros(2), 1.0)
@@ -90,8 +103,9 @@ def test_returned_basis_matches_fresh_run_bitwise(k_max, resid_tol):
 
 
 def test_objective_closed_form_one_by_one():
-    T = la.SymmetricTridiagonal([2.0], [])
-    assert objective_via_tridiagonal(T, 2.0, 4.0, 1.0) == pytest.approx(-3.0, abs=1e-14)
+    # T = [2], beta0 = 4, delta = 1: (T + 2) h = -4 gives h = [-1] on the boundary
+    h = np.array([-1.0])
+    assert objective_via_tridiagonal(h, 2.0, 4.0, 1.0) == pytest.approx(-3.0, abs=1e-14)
 
 
 def test_explicit_residual_examples():
@@ -170,3 +184,43 @@ def test_warm_start_keeps_multiplier_nondecreasing_at_floor():
     res = gltr_solve(A, g, 1.0, resid_tol=0.0, k_max=60)
     lams = np.array([r.lam for r in res.history])
     assert np.all(np.diff(lams) >= 0.0)
+
+
+def test_fallback_when_a_low_ritz_value_appears_late(monkeypatch):
+    # -1 lies below a positive definite bulk and carries weight 1e-6 in g, so
+    # the Ritz value that finds it appears only after some twenty steps.  At
+    # those steps T_k + lam_{k-1} I is indefinite and the solve falls back to
+    # theta_min; every step whose shift at lam_{k-1} is positive definite with
+    # ||h|| >= delta starts Newton there without it.
+    d = np.concatenate([[-1.0], np.linspace(0.5, 10.0, 199)])
+    g = np.concatenate([[1e-6], np.full(199, 1.0 / np.sqrt(199))])
+    delta = 0.5
+    orders = []
+
+    def counting(T):
+        orders.append(T.order)
+        return la.extremal_eig_tridiagonal(T)
+
+    monkeypatch.setattr(trs, "extremal_eig_tridiagonal", counting)
+    res = gltr_solve(diag_op(d), g, delta)
+    lam_ref, s_ref, _, case = trs.solve_trs_spectral(d, g, delta)
+    assert case == trs.BOUNDARY and res.termination == RESIDUAL_TOL
+    assert abs(res.lam - lam_ref) <= 1e-13 * lam_ref
+    # lam + theta_min is about 2e-6 here, so s carries rounding times 1e6
+    assert np.abs(res.s - s_ref).max() <= 1e-8
+
+    T = res.factorization.tridiag
+    indefinite, warm_steps = [], []
+    for prev, rec in zip(res.history, res.history[1:]):
+        Tk = T.leading(rec.k + 1)
+        rhs = -np.linalg.norm(g) * np.eye(Tk.order)[0]
+        try:
+            h = la.solve_shifted(Tk, prev.lam, rhs)
+        except la.IndefiniteShift:
+            indefinite.append(Tk.order)
+            continue
+        if np.linalg.norm(h) >= delta * (1.0 - 1e-13):
+            warm_steps.append(Tk.order)
+    assert min(indefinite) >= 20
+    assert set(indefinite) <= set(orders)
+    assert warm_steps and not set(warm_steps) & set(orders)

@@ -14,6 +14,16 @@ def test_boundary_one_by_one():
     np.testing.assert_allclose(sol.h, [-1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("a", [-0.028, -1.5, -1.6e7])
+def test_negative_one_by_one_multiplier_is_exact(a):
+    # the root beta0/delta - a is the upper end of the bracket's first bound
+    beta0, delta = 1.0, 0.5
+    sol = trs.solve_trs_tridiagonal(la.SymmetricTridiagonal([a], []), beta0, delta)
+    exact = beta0 / delta - a
+    assert sol.case == trs.BOUNDARY
+    assert abs(sol.lam - exact) <= 4.0 * np.finfo(float).eps * exact
+
+
 def test_interior_one_by_one():
     T = la.SymmetricTridiagonal([2.0], [])
     sol = trs.solve_trs_tridiagonal(T, 1.0, 1.0)
@@ -133,3 +143,39 @@ def test_kkt_curvature_margin_sign():
     rep = trs.check_kkt(A, g, 1.0, sol.lam, sol.h, tol=1e-9)
     assert rep.passed
     assert rep.curvature_margin == pytest.approx(sol.lam - 2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "beta0, delta, name",
+    [
+        pytest.param(np.nan, 1.0, "beta0", id="beta0=nan"),
+        pytest.param(np.inf, 1.0, "beta0", id="beta0=inf"),
+        pytest.param(0.0, 1.0, "beta0", id="beta0=0"),
+        pytest.param(-1.0, 1.0, "beta0", id="beta0=-1"),
+        pytest.param(1.0, np.nan, "delta", id="delta=nan"),
+        pytest.param(1.0, np.inf, "delta", id="delta=inf"),
+        pytest.param(1.0, 0.0, "delta", id="delta=0"),
+        pytest.param(1.0, -1.0, "delta", id="delta=-1"),
+    ],
+)
+def test_invalid_scalars_rejected_before_factorizing(monkeypatch, beta0, delta, name):
+    calls = []
+    monkeypatch.setattr(trs, "solve_shifted", lambda *args: calls.append(args))
+    monkeypatch.setattr(trs, "extremal_eig_tridiagonal", lambda *args: calls.append(args))
+    T = la.SymmetricTridiagonal([2.0, -1.0], [0.5])
+    with pytest.raises(ValueError, match=name):
+        trs.solve_trs_tridiagonal(T, beta0, delta)
+    assert calls == []
+
+
+def test_warm_boundary_and_interior_need_no_theta_min(monkeypatch):
+    calls = []
+    monkeypatch.setattr(trs, "extremal_eig_tridiagonal", lambda T: calls.append(T))
+    T = la.SymmetricTridiagonal([2.0, 2.0, 2.0], [1.0, 1.0])
+    interior = trs.solve_trs_tridiagonal(T, 0.1, 1.0)
+    assert interior.case == trs.INTERIOR and interior.secular_iterations == 1
+    cold = trs.solve_trs_tridiagonal(T, 1.0, 0.1)
+    warm = trs.solve_trs_tridiagonal(T, 1.0, 0.1, lam_lower=0.5 * cold.lam)
+    assert cold.case == warm.case == trs.BOUNDARY
+    assert abs(warm.lam - cold.lam) <= 1e-12 * cold.lam
+    assert calls == []
