@@ -197,10 +197,9 @@ def solve_shifted(T, lam, rhs):
 def extremal_eig_tridiagonal(T):
     """Extremal eigenvalues (theta_min, theta_max) of T by LAPACK.
 
-    One dense eigvalsh of the order-m matrix costs O(m^3).  Summed over a
-    solve that calls it at every Lanczos step, that beats LDL' pivot
-    bisection of both ends (about 90 O(m) sweeps per call) up to about 450
-    steps, beyond the default budget of 300.
+    One dense eigvalsh of the order-m matrix costs O(m^3).  The secular
+    solver calls it only when the shift at the previous multiplier is
+    indefinite or falls short of the boundary, a few steps per Krylov solve.
     """
     vals = np.linalg.eigvalsh(T.to_dense())
     return float(vals[0]), float(vals[-1])
