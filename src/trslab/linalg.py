@@ -1,7 +1,11 @@
 """Dense and tridiagonal linear-algebra kernels.
 
-The tridiagonal kernels are the solver's own: LDL^T factorization and
-solves of shifted symmetric tridiagonals.  Eigenvalues go to LAPACK through
+The tridiagonal kernels are the solver's own: LDL^T factorization of a
+shifted symmetric tridiagonal (ldl_shifted) and substitution from its
+factors (solve_ldl), so that several right-hand sides share one
+factorization.  Both run on Python floats: one tolist() per input and plain
+float arithmetic cost less than numpy's per-call overhead at the orders of
+a projected Krylov problem.  Eigenvalues go to LAPACK through
 numpy.linalg: the extremal ones of a tridiagonal that the solver needs, and
 the dense symmetric eigenproblems of the oracle and the harness.  Also
 here: a Householder orthonormal complement and conjugate gradients.
@@ -151,47 +155,52 @@ class SymmetricLinearOperator:
 def ldl_shifted(T, lam):
     """LDL^T factorization of T + lam*I without pivoting.
 
-    Returns (d, l) with unit-lower-bidiagonal L (subdiagonal l) and positive
-    pivots d.  Raises IndefiniteShift at the first nonpositive pivot, which
-    signals lam <= -theta_min(T).
+    Returns (d, l) as lists of Python floats: the positive pivots d and the
+    subdiagonal l of the unit-lower-bidiagonal L.  Raises IndefiniteShift at
+    the first nonpositive pivot, which signals lam <= -theta_min(T).  The
+    factors of a leading block of T are the prefixes d[:k], l[:k - 1].
     """
     if not math.isfinite(lam):
         raise ValueError("shift must be finite")
-    diag = (T.diag + lam).tolist()
-    off = T.offdiag.tolist()
-    m = len(diag)
-    d = [0.0] * m
-    l = [0.0] * (m - 1)
-    prev = diag[0]
+    lam = float(lam)
+    diag = T.diag.tolist()
+    prev = diag[0] + lam
     if prev <= 0.0:
         raise IndefiniteShift(0, prev)
-    d[0] = prev
-    for i in range(1, m):
-        li = off[i - 1] / prev
-        l[i - 1] = li
-        prev = diag[i] - off[i - 1] * li
+    d = [prev]
+    l = []
+    for a, b in zip(diag[1:], T.offdiag.tolist()):
+        li = b / prev
+        l.append(li)
+        prev = a + lam - b * li
         if prev <= 0.0:
-            raise IndefiniteShift(i, prev)
-        d[i] = prev
-    return np.array(d), np.array(l)
+            raise IndefiniteShift(len(d), prev)
+        d.append(prev)
+    return d, l
+
+
+def solve_ldl(d, l, rhs):
+    """Solve L D L^T h = rhs given the factors (d, l) from ldl_shifted."""
+    b = np.asarray(rhs, dtype=float).tolist()
+    # forward: L y = rhs
+    y = b[0]
+    ys = [y]
+    for bi, li in zip(b[1:], l):
+        y = bi - li * y
+        ys.append(y)
+    # diagonal and backward: L^T h = D^{-1} y
+    x = ys[-1] / d[-1]
+    h = [x]
+    for yi, di, li in zip(reversed(ys[:-1]), reversed(d[:-1]), reversed(l)):
+        x = yi / di - li * x
+        h.append(x)
+    h.reverse()
+    return np.array(h)
 
 
 def solve_shifted(T, lam, rhs):
     """Solve (T + lam*I) h = rhs via LDL^T; requires a positive definite shift."""
-    d, l = ldl_shifted(T, lam)
-    b = np.asarray(rhs, dtype=float).tolist()
-    m = len(b)
-    # forward: L y = rhs
-    y = [0.0] * m
-    y[0] = b[0]
-    for i in range(1, m):
-        y[i] = b[i] - l[i - 1] * y[i - 1]
-    # diagonal and backward: L^T h = D^{-1} y
-    h = [0.0] * m
-    h[m - 1] = y[m - 1] / d[m - 1]
-    for i in range(m - 2, -1, -1):
-        h[i] = y[i] / d[i] - l[i] * h[i + 1]
-    return np.array(h)
+    return solve_ldl(*ldl_shifted(T, lam), rhs)
 
 
 def extremal_eig_tridiagonal(T):

@@ -3,15 +3,17 @@
 Two routes are provided on purpose.  The production path solves the reduced
 tridiagonal problem (T + lam*I) h = -beta0*e1 with a bracketed Newton
 iteration on 1/||h(lam)|| - 1/delta, using LDL^T solves only at positive
-definite shifts.  Its first factorization, at the lower end of the bracket
-(the previous Krylov step's multiplier), is the only test of whether
-theta_min(T) is needed: LAPACK (numpy.linalg.eigvalsh) is asked for it only
-when that shift is indefinite or falls short of the boundary.  lam and h
-come from the LDL' Newton iteration.  The oracle path
-eigendecomposes a small dense matrix with LAPACK (numpy.linalg.eigh) and
-solves the explicit secular function in the eigenbasis; it is the
-brute-force reference in every equivalence test and shares neither the
-LDL' kernels nor the secular iteration with the production path.
+definite shifts.  Each lam is factored once: h and the Newton derivative
+(T + lam*I)^-1 h are both solved from those factors.  The first
+factorization, at the lower end of the bracket (the previous Krylov step's
+multiplier), is the only test of whether theta_min(T) is needed: LAPACK
+(numpy.linalg.eigvalsh) is asked for it only when that shift is indefinite
+or falls short of the boundary.  lam and h come from the LDL' Newton
+iteration.  The oracle path eigendecomposes a small dense matrix with
+LAPACK (numpy.linalg.eigh) and solves the explicit secular function in the
+eigenbasis; it is the brute-force reference in every equivalence test and
+shares neither the LDL' kernels nor the secular iteration with the
+production path.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from .linalg import (
     NoConvergence,
     SymmetricLinearOperator,
     extremal_eig_tridiagonal,
+    ldl_shifted,
     smallest_eig_dense,
+    solve_ldl,
     solve_shifted,
     symmetric_eig_dense,
 )
@@ -87,8 +91,7 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
         raise ValueError(f"beta0 must be positive and finite, got {beta0!r}")
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    rhs = np.zeros(T.order)
-    rhs[0] = -beta0
+    rhs = [-beta0] + [0.0] * (T.order - 1)
     t_norm = T.inf_norm()
     # lam <= beta0/delta - theta_min <= beta0/delta + ||T||, with equality for
     # a negative 1 x 1 T: doubling keeps the root strictly inside
@@ -98,15 +101,18 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
     pinch = 1e-14 * (t_norm + beta0 / delta)
     start = lam_lower if lam_lower is not None and lam_lower > 0.0 else 0.0
     try:
-        h = solve_shifted(T, start, rhs)
+        ldl = ldl_shifted(T, start)
     except IndefiniteShift:
-        h = None
-    if h is not None:
+        ldl = h = None
+    else:
+        h = solve_ldl(*ldl, rhs)
         nh = float(np.linalg.norm(h))
         if start == 0.0 and nh < delta:
             return TrsSolution(0.0, h, INTERIOR, 1)
         if nh >= delta * (1.0 - tol):
-            return _secular_newton(T, rhs, delta, tol, max_iter, start, hi, start, pinch, h=h)
+            return _secular_newton(
+                T, rhs, delta, tol, max_iter, start, hi, start, pinch, h=h, ldl=ldl
+            )
 
     theta_min, _ = extremal_eig_tridiagonal(T)
     lam_floor = max(0.0, -theta_min)
@@ -139,17 +145,20 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
             start = lam_floor + 0.5 * (hi - lam_floor)
     return _secular_newton(
         T, rhs, delta, tol, max_iter, lam_floor, hi, start, pinch, theta_min=theta_min,
-        h=h, iterations=iterations,
+        h=h, ldl=ldl, iterations=iterations,
     )
 
 
 def _secular_newton(
-    T, rhs, delta, tol, max_iter, lo, hi, lam, pinch, theta_min=None, h=None, iterations=1
+    T, rhs, delta, tol, max_iter, lo, hi, lam, pinch, theta_min=None, h=None, ldl=None,
+    iterations=1,
 ):
     """Safeguarded Newton on 1/||h(lam)|| - 1/delta inside the bracket [lo, hi].
 
-    `h`, if given, is the solution at the first iterate lam (counted in
-    `iterations`).  Once the bracket is pinched (hi - lo <= pinch) the
+    `h` and `ldl`, if given, are the solution and the LDL' factors of
+    T + lam*I at the first iterate lam (counted in `iterations`).  Each lam
+    is factored once: h and the Newton derivative (T + lam I)^-1 h come from
+    the same factors.  Once the bracket is pinched (hi - lo <= pinch) the
     boundary point between its ends is returned; if no evaluated lam had
     ||h|| > delta, the case is near-hard.
     """
@@ -158,11 +167,12 @@ def _secular_newton(
         if h is None:
             iterations += 1
             try:
-                h = solve_shifted(T, lam, rhs)
+                ldl = ldl_shifted(T, lam)
             except IndefiniteShift:
                 lo = max(lo, lam)
                 lam = lo + 0.5 * (hi - lo)
                 continue
+            h = solve_ldl(*ldl, rhs)
         nh = float(np.linalg.norm(h))
         if abs(nh - delta) <= tol * delta:
             return TrsSolution(lam, h, BOUNDARY, iterations)
@@ -174,7 +184,7 @@ def _secular_newton(
             if h_lo is None:
                 raise NearHardCase(delta - nh, theta_min=theta_min)
             return _boundary_between(lo, h_lo, hi, h_hi, delta, iterations)
-        w = solve_shifted(T, lam, h)
+        w = solve_ldl(*ldl, h)
         hw = float(h @ w)
         step = (nh - delta) / delta * (nh * nh / hw)
         if abs(step) < 0.5 * pinch:

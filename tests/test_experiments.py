@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trslab import experiments as ex
+from trslab import linalg as la
 from trslab import trs
 from trslab.augmented import AugmentedOperator
 from trslab.trs import check_kkt
@@ -163,6 +164,26 @@ def test_run_experiment_row_structure(small_run):
     # measured gaps stay nonnegative up to roundoff dust
     for name in ("lambda_gap", "q_gap", "cg_gap"):
         assert t.columns[name].min() >= -1e-12
+
+
+def test_resolvent_moments_match_per_step_solves():
+    # one factorization of T + lam* I serves every leading block t_k
+    spec = ex.ProblemSpec(family="2", n=300, seed=3)
+    res = ex.run_experiment(spec)
+    _, g = ex.generate(spec)
+    ref = res.reference
+    beta0 = float(np.linalg.norm(g))
+    ref_moment = -float(g @ ref.s_opt) / (beta0 * beta0)
+    tridiag = res.run.factorization.tridiag
+    assert res.table.nrows == tridiag.order > 10
+    for idx, k in enumerate(res.table.columns["k"].astype(int)):
+        e1 = np.zeros(k + 1)
+        e1[0] = 1.0
+        x = la.solve_shifted(tridiag.leading(k + 1), ref.lambda_opt, e1)
+        denom = spec.delta * spec.delta + beta0 * beta0 * float(x @ x)
+        assert res.table.columns["cg_gap"][idx] == ref_moment - float(x[0])
+        assert res.diagnostics["eta1"][idx] == beta0 * beta0 / denom
+        assert res.diagnostics["eta2"][idx] == 2.0 / denom
 
 
 def test_lambda_gap_column_nonincreasing(small_run):

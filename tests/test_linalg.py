@@ -58,6 +58,83 @@ def test_solve_shifted_random_residuals():
         assert resid <= 1e-12 * np.linalg.norm(rhs)
 
 
+def _ldl_shifted_array_kernel(T, lam):
+    # the kernel that ldl_shifted replaced: the shift added to the numpy
+    # diagonal, pivots and multipliers returned as arrays
+    diag = (T.diag + lam).tolist()
+    off = T.offdiag.tolist()
+    m = len(diag)
+    d = [0.0] * m
+    l = [0.0] * (m - 1)
+    prev = diag[0]
+    if prev <= 0.0:
+        raise la.IndefiniteShift(0, prev)
+    d[0] = prev
+    for i in range(1, m):
+        li = off[i - 1] / prev
+        l[i - 1] = li
+        prev = diag[i] - off[i - 1] * li
+        if prev <= 0.0:
+            raise la.IndefiniteShift(i, prev)
+        d[i] = prev
+    return np.array(d), np.array(l)
+
+
+def _solve_shifted_array_kernel(T, lam, rhs):
+    # the solve that solve_shifted replaced, reading numpy scalars one by one
+    d, l = _ldl_shifted_array_kernel(T, lam)
+    b = np.asarray(rhs, dtype=float).tolist()
+    m = len(b)
+    y = [0.0] * m
+    y[0] = b[0]
+    for i in range(1, m):
+        y[i] = b[i] - l[i - 1] * y[i - 1]
+    h = [0.0] * m
+    h[m - 1] = y[m - 1] / d[m - 1]
+    for i in range(m - 2, -1, -1):
+        h[i] = y[i] / d[i] - l[i] * h[i + 1]
+    return np.array(h)
+
+
+def _kernel_outcome(factor, solve, T, lam, rhs):
+    try:
+        d, l = factor(T, lam)
+    except la.IndefiniteShift as exc:
+        return ("indefinite", exc.pivot_index, np.float64(exc.pivot_value).tobytes())
+    h = solve(T, lam, rhs)
+    return tuple(np.asarray(a, dtype=float).tobytes() for a in (d, l, h))
+
+
+def test_list_kernel_matches_array_kernel_bitwise():
+    rng = np.random.default_rng(29)
+    for m in range(1, 201):
+        graded_diag = np.logspace(-8, 8, m)
+        for T in (
+            la.SymmetricTridiagonal(rng.standard_normal(m), rng.standard_normal(m - 1)),
+            la.SymmetricTridiagonal(
+                1.0 + 1e-10 * rng.uniform(size=m), 1e-10 * rng.uniform(size=m - 1)
+            ),
+            la.SymmetricTridiagonal(
+                graded_diag, 0.5 * np.sqrt(graded_diag[:-1] * graded_diag[1:])
+            ),
+        ):
+            vals = np.linalg.eigvalsh(T.to_dense())
+            lo, hi = float(vals[0]), float(vals[-1])
+            scale = 1.0 + abs(lo)
+            shifts = [(-lo + 10.0 ** rng.uniform(-12, 0) * scale, False), (-lo + scale, False)]
+            if hi - lo > 1e-8 * scale:
+                shifts.append((-0.5 * (lo + hi), True))
+            for lam, indefinite in shifts:
+                rhs = rng.standard_normal(m)
+                rhs[rng.uniform(size=m) < 0.3] = 0.0
+                new = _kernel_outcome(la.ldl_shifted, la.solve_shifted, T, lam, rhs)
+                old = _kernel_outcome(
+                    _ldl_shifted_array_kernel, _solve_shifted_array_kernel, T, lam, rhs
+                )
+                assert new == old
+                assert (new[0] == "indefinite") == indefinite
+
+
 def _assert_extremal_eig_splits_pivots(T):
     # the contract that the secular solver's interior test and floor probe
     # rely on, checked by the LDL' pivots rather than by another eigensolver:

@@ -160,8 +160,8 @@ def test_kkt_curvature_margin_sign():
 )
 def test_invalid_scalars_rejected_before_factorizing(monkeypatch, beta0, delta, name):
     calls = []
-    monkeypatch.setattr(trs, "solve_shifted", lambda *args: calls.append(args))
-    monkeypatch.setattr(trs, "extremal_eig_tridiagonal", lambda *args: calls.append(args))
+    for kernel in ("ldl_shifted", "solve_shifted", "extremal_eig_tridiagonal"):
+        monkeypatch.setattr(trs, kernel, lambda *args: calls.append(args))
     T = la.SymmetricTridiagonal([2.0, -1.0], [0.5])
     with pytest.raises(ValueError, match=name):
         trs.solve_trs_tridiagonal(T, beta0, delta)
@@ -179,3 +179,31 @@ def test_warm_boundary_and_interior_need_no_theta_min(monkeypatch):
     assert cold.case == warm.case == trs.BOUNDARY
     assert abs(warm.lam - cold.lam) <= 1e-12 * cold.lam
     assert calls == []
+
+
+def test_warm_boundary_factors_once_per_multiplier(monkeypatch):
+    # h and the Newton derivative (T + lam I)^-1 h share one factorization
+    factored = []
+
+    def counting_ldl(T, lam):
+        factored.append(lam)
+        return la.ldl_shifted(T, lam)
+
+    def no_call(*args):
+        raise AssertionError("a warm boundary solve needs no other kernel")
+
+    monkeypatch.setattr(trs, "ldl_shifted", counting_ldl)
+    monkeypatch.setattr(trs, "solve_shifted", no_call)
+    monkeypatch.setattr(trs, "extremal_eig_tridiagonal", no_call)
+    rng = np.random.default_rng(41)
+    solves = 0
+    while solves < 60:
+        T, beta0, delta, (lam_o, _, case_o) = random_secular_instance(rng)
+        if case_o != trs.BOUNDARY:
+            continue
+        floor = max(0.0, -float(np.linalg.eigvalsh(T.to_dense())[0]))
+        factored.clear()
+        sol = trs.solve_trs_tridiagonal(T, beta0, delta, lam_lower=floor + 0.5 * (lam_o - floor))
+        assert sol.case == trs.BOUNDARY
+        assert len(factored) == sol.secular_iterations >= 2
+        solves += 1
