@@ -3,12 +3,12 @@
 The tridiagonal kernels are the solver's own: LDL^T factorization of a
 shifted symmetric tridiagonal (ldl_shifted) and substitution from its
 factors (solve_ldl), so that several right-hand sides share one
-factorization.  Both run on Python floats: one tolist() per input and plain
-float arithmetic cost less than numpy's per-call overhead at the orders of
-a projected Krylov problem.  Eigenvalues go to LAPACK through
-numpy.linalg: the extremal ones of a tridiagonal that the solver needs, and
-the dense symmetric eigenproblems of the oracle and the harness.  Also
-here: a Householder orthonormal complement and conjugate gradients.
+factorization.  Both run on Python floats, with one tolist() per input:
+at the orders of a projected Krylov problem, numpy's per-element and
+per-call costs would outweigh the arithmetic.  Eigenvalues go to LAPACK
+through numpy.linalg: the extremal ones of a tridiagonal that the solver
+needs, and the dense symmetric eigenproblems of the oracle and the harness.
+Also here: a Householder orthonormal complement and conjugate gradients.
 Operator 2-norms and extremal eigenvalues of operators are estimated by
 Lanczos in the lanczos module.
 """
