@@ -9,8 +9,9 @@ rightmost eigenpair is available in closed form from the reduced TRS
 solution, so no nonsymmetric eigensolver is ever needed.  This module also
 provides the spectral quantities (spectral condition number, separation,
 subspace angles, projected off-diagonal norm) that feed the convergence
-bounds; operator norms come from the Lanczos estimator in the lanczos
-module.
+bounds.  ||M|| is exact when A's spectrum is known, from a 2 x 2 secular
+equation (Golub 1973; Bunch, Nielsen and Sorensen 1978); other operator norms
+come from the Lanczos estimator in the lanczos module.
 """
 
 from __future__ import annotations
@@ -178,6 +179,39 @@ def subspace_sine(y1, y2, Q):
     r2 = y2 - Q @ (Q.T @ y2)
     s2 = float(r1 @ r1 + r2 @ r2)
     return math.sqrt(min(max(s2, 0.0), 1.0))
+
+
+def m_norm_from_spectrum(theta, c, delta):
+    """||M||_2 for A = V diag(theta) V' and c = V'g, without forming M.
+
+    In the eigenbasis M'M = D + U S U': D is block diagonal with blocks
+    [[t^2 + 1, -t], [-t, t^2]], U = [(-theta c / delta^2, 0), (0, c)] and
+    S = [[0, 1], [1, ||c||^2 / delta^4]].  Blocks with c_i = 0 are invariant.
+    Over the others det S = -1, so at most one eigenvalue exceeds their top
+    block eigenvalue dmax, and at least one reaches it: bisection finds where
+    det(S^-1 - U'(mu - D)^-1 U) changes sign, else returns dmax.
+    """
+    t2, c = np.asarray(theta, dtype=float) ** 2, np.asarray(c, dtype=float)
+    root = np.sqrt(t2 + 0.25)
+    top = t2 + 0.5 + root
+    coupled = c != 0.0
+    best = float(top[~coupled].max(initial=0.0))
+    if coupled.any():
+        t2, top, bottom, c2 = t2[coupled], top[coupled], (t2 + 0.5 - root)[coupled], c[coupled] ** 2
+        d2 = float(delta) ** 2
+        w, s = c2 * t2 / d2, float(c2.sum()) / d2
+        lo, hi = float(top.max()), (math.sqrt(float(t2.max())) + 1.0 + s) ** 2
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            inv = 1.0 / ((mid - top) * (mid - bottom))
+            w11, w12, w22 = (w * (mid - t2)) @ inv / d2, w @ inv, (c2 * (mid - t2 - 1.0)) @ inv
+            if (s / d2 + w11) * w22 > (1.0 - w12) ** 2:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        best = max(best, lo)
+    return math.sqrt(best)
 
 
 class _ProjectedOffdiagonal:

@@ -31,6 +31,7 @@ from .augmented import (
     assemble_projected,
     eigpair_from_trs,
     gamma_tilde,
+    m_norm_from_spectrum,
     separation,
     solution_sine,
     spectral_condition,
@@ -262,31 +263,25 @@ class ReferenceSolution:
 def reference_solution(A, g, delta, tol=1e-14):
     """High-accuracy reference (lambda_opt, s_opt, ...) for error measurement.
 
-    Operators with a known spectrum get a direct secular solve in the
-    eigenbasis; general operators are solved by the Krylov driver at a
-    tighter residual tolerance than any measured run.  ||M|| comes from the
-    Lanczos estimator on M'M.
+    Operators with a known spectrum (diagonal, or with `eigenvalue_vector`)
+    get a direct secular solve and an exact ||M|| in the eigenbasis; general
+    operators are solved by the Krylov driver at a tighter residual tolerance
+    than any measured run, and ||M|| comes from the Lanczos estimator on M'M.
     """
     g = np.asarray(g, dtype=float)
     beta0 = float(np.linalg.norm(g))
 
-    if A.diagonal is not None:
-        theta = A.diagonal
-        lam, s_eig, _, case = solve_trs_spectral(theta, g, delta, tol=tol)
-        s_opt = s_eig
-        q_opt = float(g @ s_opt + 0.5 * np.sum(theta * s_opt * s_opt))
-        alpha1 = float(theta.max())
-        alpha_n = float(theta.min())
-        y2_raw = s_opt / (theta + lam)
-    elif hasattr(A, "eigenvalue_vector"):
-        theta = A.eigenvalue_vector
-        c = A.to_eigenbasis(g)
-        lam, s_eig, _, case = solve_trs_spectral(theta, c, delta, tol=tol)
-        s_opt = A.from_eigenbasis(s_eig)
+    if A.diagonal is not None or hasattr(A, "eigenvalue_vector"):
+        if A.diagonal is not None:
+            theta, c, back = A.diagonal, g, lambda w: w
+        else:
+            theta, c, back = A.eigenvalue_vector, A.to_eigenbasis(g), A.from_eigenbasis
+        lam, s_eig, _, _ = solve_trs_spectral(theta, c, delta, tol=tol)
+        s_opt = back(s_eig)
         q_opt = float(c @ s_eig + 0.5 * np.sum(theta * s_eig * s_eig))
-        alpha1 = float(theta.max())
-        alpha_n = float(theta.min())
-        y2_raw = A.from_eigenbasis(s_eig / (theta + lam))
+        alpha1, alpha_n = float(theta.max()), float(theta.min())
+        y2_raw = back(s_eig / (theta + lam))
+        m_norm = m_norm_from_spectrum(theta, c, delta)
     else:
         run = gltr_solve(A, g, delta, resid_tol=tol, k_max=600)
         lam = run.lam
@@ -294,11 +289,9 @@ def reference_solution(A, g, delta, tol=1e-14):
         q_opt = run.q
         alpha_n, alpha1 = getattr(A, "extremal_eigenvalues", None) or estimate_extremal_eigenvalues(A)
         y2_raw = solve_spd_operator(lambda v: A.apply(v) + lam * v, s_opt, tol=1e-13)
+        m_norm = operator_norm_2(AugmentedOperator(A, g, delta))
 
     sd = bnd.spectrum_data(alpha1, alpha_n, lam, beta0, delta)
-    m_op = AugmentedOperator(A, g, delta)
-    m_norm = operator_norm_2(m_op)
-
     stack_norm = math.sqrt(float(s_opt @ s_opt + y2_raw @ y2_raw))
     y1 = s_opt / stack_norm
     y2 = y2_raw / stack_norm

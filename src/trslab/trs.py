@@ -301,8 +301,10 @@ def solve_trs_dense(A, g, delta, tol=1e-13, oracle_cap=500):
 
 def _theta_min_estimate(apply_a, n, operator=None):
     """Smallest-eigenvalue estimate for the curvature margin of the KKT check."""
-    if getattr(operator, "diagonal", None) is not None:
-        return float(np.min(operator.diagonal))
+    for name in ("diagonal", "eigenvalue_vector"):
+        spectrum = getattr(operator, name, None)
+        if spectrum is not None:
+            return float(np.min(spectrum))
     dense = getattr(operator, "dense", None)
     if dense is not None and dense.shape[0] <= 600:
         return smallest_eig_dense(dense)

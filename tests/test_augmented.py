@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trslab import augmented as aug
 from trslab import linalg as la
@@ -230,3 +232,63 @@ def test_trs_and_eigen_routes_agree_along_a_run(small_run):
         g_reduced[0] = beta0
         h_rec = aug.recover_solution(pair.z1, pair.z2, g_reduced, delta)
         assert np.abs(h_rec - h).max() <= 1e-10 * (1.0 + float(np.abs(h).max()))
+
+
+def dense_m_norm(theta, c, delta):
+    A = la.SymmetricLinearOperator.from_diagonal(theta)
+    return np.linalg.norm(aug.AugmentedOperator(A, c, delta).to_dense(), 2)
+
+
+M_NORM_SPECTRA = {
+    "n=1": ([0.7], [1.3]),
+    "n=1-negative": ([-2.5], [0.4]),
+    "n=2": ([-1.0, 3.0], [0.6, -0.8]),
+    "repeated-and-zero": ([0.0, 0.0, 1.5, 1.5, 1.5, -1.0], [0.3, -0.2, 0.5, 0.1, -0.4, 0.6]),
+    "all-zero-theta": ([0.0, 0.0, 0.0], [0.1, -0.2, 0.05]),
+    "all-positive": (np.linspace(0.5, 4.0, 12), np.linspace(1.0, -1.0, 12)),
+    "all-negative": (-np.linspace(0.5, 4.0, 12), np.linspace(-0.3, 1.0, 12)),
+    # the coefficient of the largest |theta| is zero, so is one in between
+    "zero-at-argmax": ([-3.0, -1.0, 0.0, 2.0, 5.0], [0.5, 0.0, 0.2, -0.7, 0.0]),
+    "zero-at-negative-argmax": ([-6.0, -1.0, 0.5, 2.0], [0.0, 0.4, 0.0, -0.9]),
+    "only-one-coupled": ([-2.0, 1.0, 4.0], [0.0, 1e-3, 0.0]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("name", sorted(M_NORM_SPECTRA))
+def test_m_norm_from_spectrum_matches_dense_two_norm(name, delta):
+    theta, c = (np.asarray(v, dtype=float) for v in M_NORM_SPECTRA[name])
+    dense = dense_m_norm(theta, c, delta)
+    assert abs(aug.m_norm_from_spectrum(theta, c, delta) - dense) <= 1e-13 * dense
+
+
+@st.composite
+def spectral_instances(draw):
+    kind = draw(st.sampled_from(["random", "clustered", "graded"]))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        theta = rng.uniform(-3.0, 3.0, n)
+    elif kind == "clustered":
+        centers = rng.uniform(-3.0, 3.0, int(rng.integers(1, 4)))
+        theta = rng.choice(centers, n) + 1e-10 * rng.uniform(-1.0, 1.0, n)
+    else:
+        theta = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 3.0, n)
+    # sparse coefficients, sometimes with the largest |theta| decoupled
+    c = rng.standard_normal(n) * (rng.uniform(size=n) < rng.uniform(0.1, 1.0))
+    if draw(st.booleans()):
+        c[np.argmax(np.abs(theta))] = 0.0
+    if not c.any():
+        c[int(rng.integers(n))] = rng.standard_normal()
+    delta = 10.0 ** rng.uniform(-3.0, 3.0)
+    return theta, c, delta
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spectral_instances())
+def test_m_norm_from_spectrum_matches_dense_on_adversarial_spectra(instance):
+    theta, c, delta = instance
+    dense = dense_m_norm(theta, c, delta)
+    assert abs(aug.m_norm_from_spectrum(theta, c, delta) - dense) <= 1e-13 * dense

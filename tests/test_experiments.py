@@ -121,12 +121,32 @@ def test_orthogonal_similarity_preserves_measurements():
     assert rep.passed
 
 
-@pytest.mark.parametrize("family", ["1a", "1b", "2", "3"])
-def test_reference_m_norm_matches_dense_two_norm(family):
-    A, g = ex.generate(ex.ProblemSpec(family=family, n=150, seed=2))
+SIMILARITY = {"orthogonal_similarity": True}
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [pytest.param(fam, {}, id=fam) for fam in ("1a", "1b", "2", "3")]
+    + [pytest.param(fam, SIMILARITY, id=f"{fam}-similarity") for fam in ("1a", "1b", "2", "3")],
+)
+def test_reference_m_norm_matches_dense_two_norm(family, params):
+    A, g = ex.generate(ex.ProblemSpec(family=family, n=150, seed=2, params=params))
     ref = ex.reference_solution(A, g, 1.0)
     dense = np.linalg.norm(AugmentedOperator(A, g, 1.0).to_dense(), 2)
     assert abs(ref.m_norm - dense) <= 1e-13 * dense
+
+
+def test_only_operators_without_a_known_spectrum_estimate_m_norm(monkeypatch):
+    # perfbench rebinds experiments.operator_norm_2, so the call must go through it
+    calls = []
+    estimate = ex.operator_norm_2
+    monkeypatch.setattr(ex, "operator_norm_2", lambda op: calls.append(op) or estimate(op))
+    for family in ("1a", "1b", "2", "3"):
+        for params in ({}, SIMILARITY):
+            ex.reference_solution(*ex.generate(ex.ProblemSpec(family, 200, 1.0, 4, params)), 1.0)
+    assert calls == []
+    ex.reference_solution(*ex.generate(ex.ProblemSpec("4", 200, 1.0, 4)), 1.0)
+    assert len(calls) == 1
 
 
 def test_reference_identity_instance():

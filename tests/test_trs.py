@@ -3,6 +3,7 @@ import pytest
 
 from trslab import linalg as la
 from trslab import trs
+from trslab.experiments import HouseholderSimilarityOperator, reference_solution
 from trslab.verify import random_secular_instance
 
 
@@ -143,6 +144,23 @@ def test_kkt_curvature_margin_sign():
     rep = trs.check_kkt(A, g, 1.0, sol.lam, sol.h, tol=1e-9)
     assert rep.passed
     assert rep.curvature_margin == pytest.approx(sol.lam - 2.0, abs=1e-9)
+
+
+def test_kkt_curvature_is_exact_for_a_known_spectrum(monkeypatch):
+    # an operator with eigenvalue_vector needs no Krylov estimate of theta_min
+    def no_estimate(A):
+        raise AssertionError("the spectrum is known")
+
+    monkeypatch.setattr(trs, "estimate_extremal_eigenvalues", no_estimate)
+    rng = np.random.default_rng(3)
+    d = np.linspace(-2.0, 2.0, 400)
+    A = HouseholderSimilarityOperator(d, [rng.standard_normal(400) for _ in range(2)])
+    g = rng.standard_normal(400)
+    g /= np.linalg.norm(g)
+    ref = reference_solution(A, g, 1.0)
+    rep = trs.check_kkt(A, g, 1.0, ref.lambda_opt, ref.s_opt)
+    assert rep.passed
+    assert rep.curvature_margin == -2.0 + ref.lambda_opt
 
 
 @pytest.mark.parametrize(
