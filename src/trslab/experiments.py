@@ -40,7 +40,7 @@ from .augmented import (
 from .gltr import check_budget, gltr_solve
 from .lanczos import estimate_extremal_eigenvalues, operator_norm_2
 from .lanczos import lanczos_run  # noqa: F401  not called here; perfbench/layers.py rebinds it
-from .linalg import SymmetricLinearOperator, ldl_shifted, solve_ldl, solve_spd_operator
+from .linalg import SymmetricLinearOperator, ldl_back, ldl_forward, ldl_shifted, solve_spd_operator
 from .mmio import read_matrix_market, read_vector
 from .trs import BOUNDARY, solve_trs_spectral
 
@@ -388,10 +388,11 @@ def run_experiment(
         "eta2_cap": np.full(nk, np.nan),
     }
 
-    # the LDL' factors of each leading block t_k + lam* I are prefixes of the
-    # final tridiagonal's, so one factorization serves every k
+    # the LDL' factors of each leading block t_k + lam* I, and the forward
+    # sweep of e1 through them, are prefixes of the final tridiagonal's, so
+    # one factorization and one forward sweep serve every k
     ref_d, ref_l = ldl_shifted(tridiag, ref.lambda_opt)
-    e_first = [1.0] + [0.0] * (tridiag.order - 1)
+    ref_y = ldl_forward(ref_l, [1.0] + [0.0] * (tridiag.order - 1))
     for idx, rec in enumerate(records):
         k = rec.k
         h, s_k = run.iterates[idx]
@@ -405,7 +406,7 @@ def run_experiment(
         cols["resid"][idx] = rec.resid_explicit
         cols["resid_formula"][idx] = rec.resid_formula
 
-        x = solve_ldl(ref_d[: k + 1], ref_l[:k], e_first[: k + 1])
+        x = ldl_back(ref_d[: k + 1], ref_l[:k], ref_y[: k + 1])
         moment1 = float(x[0])
         moment2 = float(x @ x)
         denom = delta * delta + beta0 * beta0 * moment2

@@ -92,7 +92,9 @@ def gltr_solve(
     Stops when the residual formula drops below resid_tol, on Lanczos
     breakdown (the projected solution is then exact), or at k_max.  The
     multiplier from step k seeds the secular solve at step k+1; multipliers
-    are nondecreasing, so the previous value is a valid lower bound.
+    are nondecreasing, so the previous value is a valid lower bound.  The
+    LDL' factors at that multiplier come along: T_{k+1} extends T_k by one
+    row, so the solve at step k+1 factors only that row at its first shift.
 
     The Lanczos basis reserves min(n, k_max + 1) columns up front, of which
     only those written become resident.  The returned factorization holds
@@ -113,14 +115,11 @@ def gltr_solve(
     fact = lanczos_run(A, g, 0, breakdown_tol=breakdown_tol, capacity=k_max + 1)
     history: list[ConvergenceRecord] = []
     iterates = [] if keep_iterates else None
-    warm = None
-    termination = K_MAX
-    h = None
-    s = None
+    warm = factors = s = None
 
     for k in range(k_max + 1):
         T = fact.tridiag
-        sol = solve_trs_tridiagonal(T, beta0, delta, tol=secular_tol, lam_lower=warm)
+        sol = solve_trs_tridiagonal(T, beta0, delta, secular_tol, lam_lower=warm, factors=factors)
         h = sol.h
         lam = sol.lam
         if sol.case == BOUNDARY:
@@ -145,7 +144,7 @@ def gltr_solve(
             if keep_iterates:
                 iterates.append((h, s))
         history.append(record)
-        warm = lam
+        warm, factors = lam, sol.factors
         if fact.broken_down:
             termination = BREAKDOWN
             break

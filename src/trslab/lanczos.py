@@ -6,7 +6,10 @@ Every step reorthogonalizes against every stored basis vector: one classical
 Gram-Schmidt pass, a second only when the first cancels (Kahan-Parlett
 "twice is enough").  That keeps the basis orthonormal to machine precision,
 which all downstream accuracy checks rely on, and most steps read the basis
-twice (Q' r, then Q times the result) rather than four times.
+twice (Q' r, then Q times the result) rather than four times.  Each new
+entry of T is checked finite once, when it is produced, and a factorization
+carries the running row maxima of T (the breakdown test's Gershgorin scale
+and T's inf-norm), so neither is rebuilt from all rows at every step.
 
 A run writes its basis into one column-major n x capacity store that grows
 in place (doubling when full), and the reorthogonalization works on the
@@ -32,6 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SymmetricLinearOperator, SymmetricTridiagonal, extremal_eig_tridiagonal
+
+_NO_ROWS = (1e-300, 0.0)  # row maxima before any row closes; breakdown scale > 0
 
 
 class ZeroStartVector(Exception):
@@ -78,6 +83,8 @@ class LanczosFactorization:
     broken_down: bool
     next_vector: np.ndarray | None  # q_{k+1}, kept so the run can be resumed
     _store: _ColumnStore | None = dataclasses.field(default=None, repr=False, compare=False)
+    # maxima (Gershgorin, inf_norm) over the rows of T that beta_next does not close
+    _row_max: tuple = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def k(self):
@@ -100,17 +107,13 @@ class LanczosFactorization:
         return dataclasses.replace(self, basis=basis, _store=None)
 
 
-def _gershgorin_scale(diag, off, beta):
-    """Largest Gershgorin row of T so far, beta closing the last row: a
-    running estimate of ||A|| for the breakdown test.
-
-    Row i adds |off[i-1]|, then |off[i]|, to |diag[i]|, in that order.
-    """
-    rows = np.abs(np.array(diag))
-    edges = np.abs(np.array(off + [beta]))
-    rows[1:] += edges[:-1]
-    rows += edges
-    return max(1e-300, float(rows.max()))
+def _close_row(row_max, diag, off, beta):
+    """The running row maxima (Gershgorin, inf_norm) of T with its last row
+    closed by beta.  Gershgorin rows, the breakdown test's estimate of ||A||,
+    add |d_i| + |e_{i-1}| + |e_i|; inf_norm adds |d_i| + |e_i| + |e_{i-1}|."""
+    d, right = abs(diag[-1]), abs(beta)
+    left = abs(off[-1]) if off else 0.0
+    return max(row_max[0], d + left + right), max(row_max[1], d + right + left)
 
 
 def _reorthogonalize(qmat, r):
@@ -131,12 +134,13 @@ def _reorthogonalize(qmat, r):
     return r, float(np.linalg.norm(r)), 2
 
 
-def _grow(A, store, diag, off, q_prev, beta_cur, order_target, breakdown_tol):
+def _grow(A, store, diag, off, row_max, order_target, breakdown_tol):
     """Advance the three-term recurrence until `order_target` steps are done.
 
     Invariant on entry: `diag` has one entry fewer than `store.filled`, and
     the last filled column is the vector still to be processed.  The store
-    and the lists are mutated in place; returns (beta_next, q_next, broken_down).
+    and the lists are mutated in place; returns (beta_next, q_next,
+    broken_down, row_max), row_max covering the rows that `off` closes.
     """
     n = store.array.shape[0]
     while True:
@@ -146,23 +150,27 @@ def _grow(A, store, diag, off, q_prev, beta_cur, order_target, breakdown_tol):
         delta = float(q_cur @ w)
         diag.append(delta)
         r = w - delta * q_cur
-        if q_prev is not None:
-            r = r - beta_cur * q_prev
+        if off:
+            r = r - off[-1] * store.array[:, j - 2]
         # complete reorthogonalization: one classical Gram-Schmidt pass, a
         # second only when the first cancels (Kahan-Parlett)
         r, beta, _ = _reorthogonalize(store.array[:, :j], r)
-        if beta <= breakdown_tol * _gershgorin_scale(diag, off, beta) or j >= n:
-            return beta, None, True
+        if not (math.isfinite(delta) and math.isfinite(beta)):  # checked once, here
+            raise ValueError("nonfinite entries")
+        closed = _close_row(row_max, diag, off, beta)
+        if beta <= breakdown_tol * closed[0] or j >= n:
+            return beta, None, True, row_max
         q_next = r / beta
         if j == order_target:
-            return beta, q_next, False
+            return beta, q_next, False, row_max
         off.append(beta)
+        row_max = closed
         store.append(q_next)
-        q_prev, beta_cur = q_cur, beta
 
 
-def _assemble(store, diag, off, beta0, beta_next, q_next, broken):
-    tridiag = SymmetricTridiagonal(np.array(diag), np.array(off))
+def _assemble(store, diag, off, beta0, beta_next, q_next, broken, row_max):
+    last = abs(diag[-1]) + (abs(off[-1]) if off else 0.0)  # beta_next is not in T
+    tridiag = SymmetricTridiagonal(np.array(diag), np.array(off), max(row_max[1], last))
     return LanczosFactorization(
         basis=store.prefix(),
         tridiag=tridiag,
@@ -171,6 +179,7 @@ def _assemble(store, diag, off, beta0, beta_next, q_next, broken):
         broken_down=broken,
         next_vector=q_next,
         _store=store,
+        _row_max=row_max,
     )
 
 
@@ -194,8 +203,8 @@ def lanczos_run(A, g, k_max, breakdown_tol=1e-12, capacity=None):
     store.append(g / beta0)
     diag: list[float] = []
     off: list[float] = []
-    beta_next, q_next, broken = _grow(A, store, diag, off, None, 0.0, k_max + 1, breakdown_tol)
-    return _assemble(store, diag, off, beta0, beta_next, q_next, broken)
+    grown = _grow(A, store, diag, off, _NO_ROWS, k_max + 1, breakdown_tol)
+    return _assemble(store, diag, off, beta0, *grown)
 
 
 def extend_lanczos(f, A, steps, breakdown_tol=1e-12):
@@ -221,13 +230,11 @@ def extend_lanczos(f, A, steps, breakdown_tol=1e-12):
     diag = f.tridiag.diag.tolist()
     off = f.tridiag.offdiag.tolist()
     # re-enter the recurrence at the dangling (beta_next, q_next) step
+    row_max = _close_row(f._row_max, diag, off, f.beta_next)
     off.append(f.beta_next)
     store.append(f.next_vector)
-    q_prev = store.array[:, order - 1]
-    beta_next, q_next, broken = _grow(
-        A, store, diag, off, q_prev, f.beta_next, order + steps, breakdown_tol
-    )
-    return _assemble(store, diag, off, f.beta0, beta_next, q_next, broken)
+    grown = _grow(A, store, diag, off, row_max, order + steps, breakdown_tol)
+    return _assemble(store, diag, off, f.beta0, *grown)
 
 
 def _settled_extremes(A, watch_bottom):

@@ -2,12 +2,14 @@
 
 The tridiagonal kernels are the solver's own: LDL^T factorization of a
 shifted symmetric tridiagonal (ldl_shifted) and substitution from its
-factors (solve_ldl), so that several right-hand sides share one
-factorization.  Both run on Python floats, with one tolist() per input:
-at the orders of a projected Krylov problem, numpy's per-element and
-per-call costs would outweigh the arithmetic.  Eigenvalues go to LAPACK
-through numpy.linalg: the extremal ones of a tridiagonal that the solver
-needs, and the dense symmetric eigenproblems of the oracle and the harness.
+factors (solve_ldl, or its sweeps ldl_forward and ldl_back), so that
+several right-hand sides share one factorization.  A leading block's factors
+and forward sweep are prefixes of the whole matrix's.  All run on Python
+floats, with one tolist() per input: at the orders of a projected Krylov
+problem, numpy's per-element and per-call costs would outweigh the
+arithmetic.  Eigenvalues go to LAPACK through numpy.linalg: the extremal
+ones of a tridiagonal that the solver needs, and the dense symmetric
+eigenproblems of the oracle and the harness.
 Also here: a Householder orthonormal complement and conjugate gradients.
 Operator 2-norms and extremal eigenvalues of operators are estimated by
 Lanczos in the lanczos module.
@@ -16,7 +18,7 @@ Lanczos in the lanczos module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,8 +50,12 @@ class SymmetricTridiagonal:
 
     diag: np.ndarray
     offdiag: np.ndarray
+    # known inf_norm(): lanczos passes it, having checked each entry when produced
+    _inf_norm: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self._inf_norm is not None:
+            return
         d = np.atleast_1d(np.asarray(self.diag, dtype=float))
         e = np.asarray(self.offdiag, dtype=float).reshape(-1)
         if d.size < 1:
@@ -69,26 +75,24 @@ class SymmetricTridiagonal:
         m = self.order
         a = np.zeros((m, m))
         a[np.arange(m), np.arange(m)] = self.diag
-        if m > 1:
-            idx = np.arange(m - 1)
-            a[idx, idx + 1] = self.offdiag
-            a[idx + 1, idx] = self.offdiag
+        idx = np.arange(m - 1)
+        a[idx, idx + 1] = self.offdiag
+        a[idx + 1, idx] = self.offdiag
         return a
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
         y = self.diag * x
-        if self.order > 1:
-            y[:-1] += self.offdiag * x[1:]
-            y[1:] += self.offdiag * x[:-1]
+        y[:-1] += self.offdiag * x[1:]
+        y[1:] += self.offdiag * x[:-1]
         return y
 
     def inf_norm(self):
-        m = self.order
-        r = np.abs(self.diag).astype(float)
-        if m > 1:
-            r[:-1] += np.abs(self.offdiag)
-            r[1:] += np.abs(self.offdiag)
+        if self._inf_norm is not None:
+            return self._inf_norm
+        r = np.abs(self.diag)
+        r[:-1] += np.abs(self.offdiag)
+        r[1:] += np.abs(self.offdiag)
         return float(r.max())
 
     def leading(self, order):
@@ -179,23 +183,30 @@ def ldl_shifted(T, lam):
     return d, l
 
 
-def solve_ldl(d, l, rhs):
-    """Solve L D L^T h = rhs given the factors (d, l) from ldl_shifted."""
-    b = np.asarray(rhs, dtype=float).tolist()
-    # forward: L y = rhs
-    y = b[0]
+def ldl_forward(l, rhs):
+    """Solve L y = rhs, for the L of ldl_shifted and rhs a list; returns a list."""
+    y = rhs[0]
     ys = [y]
-    for bi, li in zip(b[1:], l):
+    for bi, li in zip(rhs[1:], l):
         y = bi - li * y
         ys.append(y)
-    # diagonal and backward: L^T h = D^{-1} y
-    x = ys[-1] / d[-1]
+    return ys
+
+
+def ldl_back(d, l, y):
+    """Solve D L^T h = y, the back sweep after ldl_forward; returns h as an array."""
+    x = y[-1] / d[-1]
     h = [x]
-    for yi, di, li in zip(reversed(ys[:-1]), reversed(d[:-1]), reversed(l)):
+    for yi, di, li in zip(reversed(y[:-1]), reversed(d[:-1]), reversed(l)):
         x = yi / di - li * x
         h.append(x)
     h.reverse()
     return np.array(h)
+
+
+def solve_ldl(d, l, rhs):
+    """Solve L D L^T h = rhs given the factors (d, l) from ldl_shifted."""
+    return ldl_back(d, l, ldl_forward(l, np.asarray(rhs, dtype=float).tolist()))
 
 
 def solve_shifted(T, lam, rhs):

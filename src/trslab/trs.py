@@ -4,16 +4,16 @@ Two routes are provided on purpose.  The production path solves the reduced
 tridiagonal problem (T + lam*I) h = -beta0*e1 with a bracketed Newton
 iteration on 1/||h(lam)|| - 1/delta, using LDL^T solves only at positive
 definite shifts.  Each lam is factored once: h and the Newton derivative
-(T + lam*I)^-1 h are both solved from those factors.  The first
-factorization, at the lower end of the bracket (the previous Krylov step's
-multiplier), is the only test of whether theta_min(T) is needed: LAPACK
-(numpy.linalg.eigvalsh) is asked for it only when that shift is indefinite
-or falls short of the boundary.  lam and h come from the LDL' Newton
-iteration.  The oracle path eigendecomposes a small dense matrix with
-LAPACK (numpy.linalg.eigh) and solves the explicit secular function in the
-eigenbasis; it is the brute-force reference in every equivalence test and
-shares neither the LDL' kernels nor the secular iteration with the
-production path.
+(T + lam*I)^-1 h are both solved from those factors.  The first shift is
+the previous Krylov step's multiplier, where that step's factors, extended
+by T's new row, give the factorization in O(1); it alone decides whether
+theta_min(T) is needed: LAPACK (numpy.linalg.eigvalsh) is asked for it only
+when that shift is indefinite or falls short of the boundary.  lam and h
+come from the LDL' Newton iteration.  The oracle path eigendecomposes a
+small dense matrix with LAPACK (numpy.linalg.eigh) and solves the explicit
+secular function in the eigenbasis; it is the brute-force reference in
+every equivalence test and shares neither the LDL' kernels nor the secular
+iteration with the production path.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .linalg import (
     NoConvergence,
     SymmetricLinearOperator,
     extremal_eig_tridiagonal,
+    ldl_back,
+    ldl_forward,
     ldl_shifted,
     smallest_eig_dense,
     solve_ldl,
@@ -65,9 +67,10 @@ class TrsSolution:
     case: str
     secular_iterations: int
     kkt: KktReport | None = None
+    factors: tuple | None = None  # _factor at lam, None after _boundary_between
 
 
-def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=None):
+def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=None, factors=None):
     """Solve min beta0*e1^T h + h^T T h / 2 subject to ||h|| <= delta.
 
     `lam_lower` is a lower bound on the multiplier (the previous Krylov
@@ -80,6 +83,10 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
     positive start whose ||h|| falls short of delta (a lower bound that
     rounding pushed above the root), asks LAPACK for theta_min(T): a
     near-hard probe just above max(0, -theta_min) follows, then Newton.
+
+    `factors` may carry the `factors` of the solution for the leading block
+    of order m - 1 of T with the same beta0; taken at start, they leave the
+    first factorization one row to add (see _factor).
 
     Once the bracket pinches to the resolution of lam, the boundary point
     between its ends is returned (see _boundary_between).  Raises
@@ -101,17 +108,17 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
     pinch = 1e-14 * (t_norm + beta0 / delta)
     start = lam_lower if lam_lower is not None and lam_lower > 0.0 else 0.0
     try:
-        ldl = ldl_shifted(T, start)
+        fac = _factor(T, start, rhs, factors)
     except IndefiniteShift:
-        ldl = h = None
+        fac = h = None
     else:
-        h = solve_ldl(*ldl, rhs)
+        h = ldl_back(*fac[1:])
         nh = float(np.linalg.norm(h))
         if start == 0.0 and nh < delta:
-            return TrsSolution(0.0, h, INTERIOR, 1)
+            return TrsSolution(0.0, h, INTERIOR, 1, factors=fac)
         if nh >= delta * (1.0 - tol):
             return _secular_newton(
-                T, rhs, delta, tol, max_iter, start, hi, start, pinch, h=h, ldl=ldl
+                T, rhs, delta, tol, max_iter, start, hi, start, pinch, h=h, fac=fac
             )
 
     theta_min, _ = extremal_eig_tridiagonal(T)
@@ -145,21 +152,41 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
             start = lam_floor + 0.5 * (hi - lam_floor)
     return _secular_newton(
         T, rhs, delta, tol, max_iter, lam_floor, hi, start, pinch, theta_min=theta_min,
-        h=h, ldl=ldl, iterations=iterations,
+        h=h, fac=fac, iterations=iterations,
     )
 
 
+def _factor(T, lam, rhs, carried=None):
+    """(lam, d, l, y): the LDL' factors of T + lam*I and y solving L y = rhs.
+
+    `carried`, the same for the leading block of order m - 1 taken at lam,
+    gains the last row by the arithmetic of ldl_shifted and ldl_forward
+    (bitwise the same factors); its pivots are positive, so by Sylvester's
+    law of inertia the new pivot alone decides definiteness.
+    """
+    if carried is None or carried[0] != lam or len(carried[1]) != T.order - 1:
+        d, l = ldl_shifted(T, lam)
+        return lam, d, l, ldl_forward(l, rhs)
+    _, d, l, y = carried
+    a, b = T.diag[-1].item(), T.offdiag[-1].item()
+    li = b / d[-1]
+    pivot = a + lam - b * li
+    if pivot <= 0.0:
+        raise IndefiniteShift(len(d), pivot)
+    return lam, d + [pivot], l + [li], y + [0.0 - li * y[-1]]
+
+
 def _secular_newton(
-    T, rhs, delta, tol, max_iter, lo, hi, lam, pinch, theta_min=None, h=None, ldl=None,
+    T, rhs, delta, tol, max_iter, lo, hi, lam, pinch, theta_min=None, h=None, fac=None,
     iterations=1,
 ):
     """Safeguarded Newton on 1/||h(lam)|| - 1/delta inside the bracket [lo, hi].
 
-    `h` and `ldl`, if given, are the solution and the LDL' factors of
-    T + lam*I at the first iterate lam (counted in `iterations`).  Each lam
-    is factored once: h and the Newton derivative (T + lam I)^-1 h come from
-    the same factors.  Once the bracket is pinched (hi - lo <= pinch) the
-    boundary point between its ends is returned; if no evaluated lam had
+    `h` and `fac`, if given, are the solution and the _factor of T + lam*I at
+    the first iterate lam (counted in `iterations`).  Each lam is factored
+    once: h and the Newton derivative (T + lam I)^-1 h come from the same
+    factors.  Once the bracket is pinched (hi - lo <= pinch) the boundary
+    point between its ends is returned; if no evaluated lam had
     ||h|| > delta, the case is near-hard.
     """
     h_lo = h_hi = None  # solutions at the bracket ends, once evaluated
@@ -167,15 +194,15 @@ def _secular_newton(
         if h is None:
             iterations += 1
             try:
-                ldl = ldl_shifted(T, lam)
+                fac = _factor(T, lam, rhs)
             except IndefiniteShift:
                 lo = max(lo, lam)
                 lam = lo + 0.5 * (hi - lo)
                 continue
-            h = solve_ldl(*ldl, rhs)
+            h = ldl_back(*fac[1:])
         nh = float(np.linalg.norm(h))
         if abs(nh - delta) <= tol * delta:
-            return TrsSolution(lam, h, BOUNDARY, iterations)
+            return TrsSolution(lam, h, BOUNDARY, iterations, factors=fac)
         if nh > delta:
             lo, h_lo = lam, h
         else:
@@ -184,7 +211,7 @@ def _secular_newton(
             if h_lo is None:
                 raise NearHardCase(delta - nh, theta_min=theta_min)
             return _boundary_between(lo, h_lo, hi, h_hi, delta, iterations)
-        w = solve_ldl(*ldl, h)
+        w = solve_ldl(fac[1], fac[2], h)
         hw = float(h @ w)
         step = (nh - delta) / delta * (nh * nh / hw)
         if abs(step) < 0.5 * pinch:

@@ -41,16 +41,32 @@ def test_three_distinct_eigenvalues_match_dense_oracle():
 
 
 def test_history_records_secular_iterations():
-    A = diag_op(np.linspace(-1.0, 1.0, 50))
-    g = np.ones(50) / np.sqrt(50)
-    res = gltr_solve(A, g, 1.0)
-    warm = None
-    for rec in res.history:
-        T = res.factorization.tridiag.leading(rec.k + 1)
-        sol = trs.solve_trs_tridiagonal(T, 1.0, 1.0, lam_lower=warm)
-        assert rec.secular_iterations == sol.secular_iterations >= 1
-        warm = rec.lam
-    assert max(rec.secular_iterations for rec in res.history) > 1
+    # gltr_solve carries each step's LDL' factors into the next; a cold solve
+    # of the same leading block from the same lower bound must agree bitwise
+    late = np.concatenate([[-1.0], np.linspace(0.5, 10.0, 199)])
+    cases = {
+        "indefinite": (np.linspace(-1.0, 1.0, 50), np.ones(50), 1.0),
+        "interior": (np.linspace(1.0, 2.0, 50), np.ones(50), 100.0),
+        # interior steps, then near-hard ones whose bracket pinches: those end
+        # in _boundary_between and leave no factors to carry
+        "pinched": (late, np.concatenate([[1e-6], np.ones(199)]), 0.5),
+    }
+    seen = {}
+    for name, (d, g, delta) in cases.items():
+        g = g / np.linalg.norm(g)
+        res = gltr_solve(diag_op(d), g, delta, keep_iterates=True)
+        warm = None
+        for rec, (h, _) in zip(res.history, res.iterates):
+            T = res.factorization.tridiag.leading(rec.k + 1)
+            sol = trs.solve_trs_tridiagonal(T, float(np.linalg.norm(g)), delta, lam_lower=warm)
+            assert rec.secular_iterations == sol.secular_iterations >= 1
+            assert rec.lam == sol.lam and np.array_equal(h, sol.h)
+            seen.setdefault(name, set()).add((sol.case, sol.factors is None))
+            warm = rec.lam
+        assert max(rec.secular_iterations for rec in res.history) > 1 or name == "interior"
+    assert seen["indefinite"] == {(trs.BOUNDARY, False)}
+    assert seen["interior"] == {(trs.INTERIOR, False)}
+    assert {(trs.INTERIOR, False), (trs.BOUNDARY, True)} <= seen["pinched"]
 
 
 def test_zero_gradient_rejected():
@@ -85,6 +101,27 @@ def test_nonfinite_input_rejected_before_lanczos(g_entry, delta, kwargs):
     with pytest.raises(ValueError):
         gltr_solve(A, g, delta, **kwargs)
     assert applies == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("at_apply", [1, 4])
+# the step that produces the bad entry finishes its arithmetic before the check
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_operator_output_raises(bad, at_apply):
+    # each entry of T is checked once, when the Lanczos step produces it
+    applies = []
+
+    def apply(v):
+        applies.append(1)
+        w = np.linspace(1.0, 2.0, 20) * v
+        if len(applies) == at_apply:
+            w[3] = bad
+        return w
+
+    A = la.SymmetricLinearOperator(20, apply)
+    with pytest.raises(ValueError, match="nonfinite entries"):
+        gltr_solve(A, np.ones(20), 1.0)
+    assert len(applies) == at_apply
 
 
 @pytest.mark.parametrize("k_max, resid_tol", [(40, 1e-10), (12, 0.0)])

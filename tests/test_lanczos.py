@@ -4,8 +4,9 @@ import pytest
 from trslab import linalg as la
 from trslab.lanczos import (
     AlreadyBrokenDown,
+    _NO_ROWS,
     ZeroStartVector,
-    _gershgorin_scale,
+    _close_row,
     _reorthogonalize,
     extend_lanczos,
     lanczos_run,
@@ -167,7 +168,7 @@ def test_breakdown_at_distinct_eigenvalue_count(m):
 
 
 def test_breakdown_scale_matches_row_loop():
-    # the per-row loop the vectorized scale replaced: same additions, same order
+    # the per-row loop that the running maxima replaced: same additions, same order
     def row_loop(diag, off, beta):
         scale = 1e-300
         for i in range(len(diag)):
@@ -175,6 +176,13 @@ def test_breakdown_scale_matches_row_loop():
             right = abs(off[i]) if i < len(off) else beta
             scale = max(scale, abs(diag[i]) + left + right)
         return scale
+
+    def running_maxima(diag, off, beta):
+        # the rows closed one off-diagonal at a time, as _grow closes them
+        row_max = _NO_ROWS
+        for i, edge in enumerate(off):
+            row_max = _close_row(row_max, diag[: i + 1], off[:i], edge)
+        return _close_row(row_max, diag, off, beta)
 
     rng = np.random.default_rng(17)
     cases = [([0.0], [], 0.0), ([-2.0], [], 1e-320), ([1.0, -3.0], [0.5], 2.0)]
@@ -185,7 +193,28 @@ def test_breakdown_scale_matches_row_loop():
         # beta is a norm, so never negative
         cases.append((values[:m].tolist(), values[m : 2 * m - 1].tolist(), abs(float(values[-1]))))
     for diag, off, beta in cases:
-        assert _gershgorin_scale(diag, off, beta) == row_loop(diag, off, beta)
+        scale, inf_norm = running_maxima(diag, off, beta)
+        assert scale == row_loop(diag, off, beta)
+        # beta closing the last row is the inf-norm of T bordered by [beta, 0]
+        bordered = la.SymmetricTridiagonal(diag + [0.0], off + [beta])
+        assert inf_norm == bordered.inf_norm()
+
+    # resumed from a branch: extend_lanczos copies base into a new store, and
+    # the maxima it carries over match a fresh run's
+    rng = np.random.default_rng(18)
+    A = diag_op(rng.standard_normal(300) * 10.0 ** rng.uniform(-3, 3, 300))
+    g = rng.standard_normal(300)
+    base = lanczos_run(A, g, 8)
+    extend_lanczos(base, A, 3)
+    branched = extend_lanczos(base, A, 12)
+    assert branched._store is not base._store
+    fresh = lanczos_run(A, g, 20)
+    assert branched._row_max == fresh._row_max
+    diag, off = fresh.tridiag.diag.tolist(), fresh.tridiag.offdiag.tolist()
+    beta = branched.beta_next
+    assert _close_row(branched._row_max, diag, off, beta)[0] == row_loop(diag, off, beta)
+    scratch = la.SymmetricTridiagonal(fresh.tridiag.diag, fresh.tridiag.offdiag)
+    assert branched.tridiag.inf_norm() == fresh.tridiag.inf_norm() == scratch.inf_norm()
 
 
 def _max_component_along(Q, r):

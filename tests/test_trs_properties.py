@@ -7,7 +7,8 @@ known in advance: interior, boundary, or near-hard (the lowest eigenvector
 of T nearly orthogonal to e1 and the multiplier just above -theta_min).
 Both entries of solve_trs_tridiagonal are checked: the cold call, and the
 warm call that gltr_solve makes, with lam_lower the multiplier of the
-leading block of order m - 1.
+leading block of order m - 1; with that block's factors carried along, the
+warm call must give bitwise what it gives without them.
 """
 
 import numpy as np
@@ -107,6 +108,27 @@ def test_warm_solve_from_leading_block_matches_dense_oracle(instance):
     oracle = trs.solve_trs_dense(T.to_dense(), beta0 * np.eye(T.order)[0], delta)
     sol = trs.solve_trs_tridiagonal(T, beta0, delta, lam_lower=lam_prev)
     assert_matches_oracle(sol, oracle, T, beta0, delta)
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_carried_factors_give_the_uncarried_solve_bitwise(instance):
+    T, beta0, delta, _ = instance
+    if T.order < 2:
+        return
+    try:
+        prev = trs.solve_trs_tridiagonal(T.leading(T.order - 1), beta0, delta)
+    except trs.NearHardCase:
+        return
+    outcomes = []
+    for factors in (None, prev.factors):
+        try:
+            sol = trs.solve_trs_tridiagonal(T, beta0, delta, lam_lower=prev.lam, factors=factors)
+        except (trs.NearHardCase, la.NoConvergence) as exc:
+            outcomes.append(repr(exc))
+        else:
+            outcomes.append((sol.lam, sol.h.tobytes(), sol.case, sol.secular_iterations, sol.factors))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("lam_lower", [None, 0.5])
