@@ -20,6 +20,14 @@ and otherwise copies its basis into a new store first, so earlier values
 never change.  Either way the result is entrywise identical to a longer
 fresh run.
 
+A step allocates no n-vector of its own: the recurrence and the
+Gram-Schmidt passes write through `out=` into a two-vector workspace that
+each store owns (a branch copy gets its own), and a continuing step divides
+its residual straight into the store's next column.  The operations and
+their order are those of the plain out-of-place expressions, so the results
+are bitwise the same.  Nothing is written into the array that A.apply
+returns, which may be the operator's input or a buffer it reuses.
+
 The package's one estimator of extremal eigenvalues and operator 2-norms
 also lives here: a seeded run grown until its extreme Ritz values settle
 (Lanczos, not the power method: Kuczynski and Wozniakowski, SIAM J. Matrix
@@ -52,21 +60,27 @@ class _ColumnStore:
 
     Column-major keeps every prefix contiguous with leading dimension n, so
     BLAS sees the same operands, and rounds the same way, whatever the
-    capacity.
+    capacity.  `work` is the step's scratch, two n-vectors allocated once
+    with the store: the residual being built and one product.
     """
 
     def __init__(self, n, capacity):
         self.array = np.empty((n, capacity), order="F")
         self.filled = 0
+        self.work = np.empty((2, n))
 
-    def append(self, column):
+    def claim(self):
+        """The next column, counted as filled; the caller writes it."""
         n, capacity = self.array.shape
         if self.filled == capacity:
             grown = np.empty((n, min(n, 2 * capacity)), order="F")
             grown[:, :capacity] = self.array
             self.array = grown
-        self.array[:, self.filled] = column
         self.filled += 1
+        return self.array[:, self.filled - 1]
+
+    def append(self, column):
+        self.claim()[:] = column
 
     def prefix(self):
         view = self.array[:, : self.filled]
@@ -116,22 +130,25 @@ def _close_row(row_max, diag, off, beta):
     return max(row_max[0], d + left + right), max(row_max[1], d + right + left)
 
 
-def _reorthogonalize(qmat, r):
-    """Remove from r its components along the orthonormal columns of qmat.
+def _reorthogonalize(qmat, r, work):
+    """Remove from r, in place, its components along the orthonormal columns
+    of qmat; `work` is an n-vector of scratch.
 
     One classical Gram-Schmidt pass, and a second only when the first left
     ||r|| below ||r_before|| / sqrt(2): a pass that shrinks r less than that
     leaves it orthogonal to working precision (Kahan-Parlett "twice is
     enough"; Parlett, The Symmetric Eigenvalue Problem; Giraud, Langou and
-    Rozloznik 2005).  Returns (r, ||r||, passes).
+    Rozloznik 2005).  Returns (||r||, passes).
     """
     before = float(np.linalg.norm(r))
-    r = r - qmat @ (qmat.T @ r)
+    np.matmul(qmat, qmat.T @ r, out=work)
+    np.subtract(r, work, out=r)
     beta = float(np.linalg.norm(r))
     if beta >= before / np.sqrt(2.0):
-        return r, beta, 1
-    r = r - qmat @ (qmat.T @ r)
-    return r, float(np.linalg.norm(r)), 2
+        return beta, 1
+    np.matmul(qmat, qmat.T @ r, out=work)
+    np.subtract(r, work, out=r)
+    return float(np.linalg.norm(r)), 2
 
 
 def _grow(A, store, diag, off, row_max, order_target, breakdown_tol):
@@ -141,31 +158,38 @@ def _grow(A, store, diag, off, row_max, order_target, breakdown_tol):
     the last filled column is the vector still to be processed.  The store
     and the lists are mutated in place; returns (beta_next, q_next,
     broken_down, row_max), row_max covering the rows that `off` closes.
+    A step writes only into the store's workspace and its next column,
+    never into the array that A.apply returns: an operator may hand back
+    its input or a buffer of its own.
     """
     n = store.array.shape[0]
+    r, work = store.work
     while True:
         j = store.filled
         q_cur = store.array[:, j - 1]
         w = A.apply(q_cur)
         delta = float(q_cur @ w)
+        if not math.isfinite(delta):  # checked once, here, before any arithmetic on w
+            raise ValueError("nonfinite entries")
         diag.append(delta)
-        r = w - delta * q_cur
+        np.multiply(q_cur, delta, out=work)
+        np.subtract(w, work, out=r)
         if off:
-            r = r - off[-1] * store.array[:, j - 2]
+            np.multiply(store.array[:, j - 2], off[-1], out=work)
+            np.subtract(r, work, out=r)
         # complete reorthogonalization: one classical Gram-Schmidt pass, a
         # second only when the first cancels (Kahan-Parlett)
-        r, beta, _ = _reorthogonalize(store.array[:, :j], r)
-        if not (math.isfinite(delta) and math.isfinite(beta)):  # checked once, here
+        beta, _ = _reorthogonalize(store.array[:, :j], r, work)
+        if not math.isfinite(beta):  # checked once, here
             raise ValueError("nonfinite entries")
         closed = _close_row(row_max, diag, off, beta)
         if beta <= breakdown_tol * closed[0] or j >= n:
             return beta, None, True, row_max
-        q_next = r / beta
         if j == order_target:
-            return beta, q_next, False, row_max
+            return beta, r / beta, False, row_max
         off.append(beta)
         row_max = closed
-        store.append(q_next)
+        np.divide(r, beta, out=store.claim())
 
 
 def _assemble(store, diag, off, beta0, beta_next, q_next, broken, row_max):

@@ -105,8 +105,8 @@ def test_nonfinite_input_rejected_before_lanczos(g_entry, delta, kwargs):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("at_apply", [1, 4])
-# the step that produces the bad entry finishes its arithmetic before the check
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+# the step that produces the bad entry stops before any arithmetic on it
+@pytest.mark.filterwarnings("error")
 def test_nonfinite_operator_output_raises(bad, at_apply):
     # each entry of T is checked once, when the Lanczos step produces it
     applies = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trslab import lanczos
 from trslab import linalg as la
 from trslab.lanczos import (
     AlreadyBrokenDown,
@@ -120,6 +121,119 @@ def test_extend_past_breakdown_raises():
         extend_lanczos(f, A, 1)
 
 
+def test_operator_returning_its_input():
+    # the identity hands back the very array it is given, a column of the
+    # basis store: the step must not write into it
+    g = np.array([1.0, 2.0, -1.0, 0.5, 3.0])
+    f = lanczos_run(la.SymmetricLinearOperator(5, lambda v: v), g, 3)
+    assert f.broken_down and f.k == 0
+    assert np.linalg.norm(f.basis[:, 0]) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(f.basis[:, 0], g / np.linalg.norm(g))
+    _assert_same_factorization(f, lanczos_run(la.SymmetricLinearOperator(5, np.copy), g, 3))
+
+
+def test_operator_returning_a_shared_buffer():
+    # every apply overwrites and returns the same array
+    rng = np.random.default_rng(41)
+    n = 800
+    d = rng.standard_normal(n)
+    buf = np.empty(n)
+    shared = la.SymmetricLinearOperator(n, lambda v: np.multiply(d, v, out=buf))
+    g = rng.standard_normal(n)
+    runs = [extend_lanczos(lanczos_run(A, g, 10), A, 20) for A in (shared, diag_op(d))]
+    assert not runs[0].broken_down
+    _assert_same_factorization(*runs)
+
+
+def _out_of_place_run(A, g, steps):
+    """The Lanczos step written with out-of-place expressions, each
+    allocating its result, in the order the in-place step runs them.
+
+    Runs `steps` steps without a breakdown and returns (Q, diag, off): Q has
+    the steps + 1 basis columns and the dangling next vector after them, off
+    ends with that vector's beta.
+    """
+    n = g.size
+    beta0 = float(np.linalg.norm(g))
+    Q = np.empty((n, steps + 2), order="F")  # column-major, as the store
+    Q[:, 0] = g / beta0
+    diag, off = [], []
+    for j in range(1, steps + 2):
+        q = Q[:, j - 1]
+        w = A.apply(q)
+        delta = float(q @ w)
+        diag.append(delta)
+        r = w - delta * q
+        if off:
+            r = r - off[-1] * Q[:, j - 2]
+        before = float(np.linalg.norm(r))
+        r = r - Q[:, :j] @ (Q[:, :j].T @ r)
+        beta = float(np.linalg.norm(r))
+        if beta < before / np.sqrt(2.0):
+            r = r - Q[:, :j] @ (Q[:, :j].T @ r)
+            beta = float(np.linalg.norm(r))
+        off.append(beta)
+        Q[:, j] = r / beta
+    return Q, diag, off
+
+
+def _assert_matches_reference(f, reference):
+    Q, diag, off = reference
+    k = f.k
+    assert not f.broken_down
+    assert np.array_equal(f.basis, Q[:, : k + 1])
+    assert np.array_equal(f.tridiag.diag, diag[: k + 1])
+    assert np.array_equal(f.tridiag.offdiag, off[:k])
+    assert f.beta_next == off[k]
+    assert np.array_equal(f.next_vector, Q[:, k + 1])
+
+
+def test_in_place_step_matches_out_of_place_arithmetic_bitwise(monkeypatch):
+    passes = []
+
+    def recording(qmat, r, work):
+        beta, count = reorthogonalize(qmat, r, work)
+        passes.append(count)
+        return beta, count
+
+    reorthogonalize = lanczos._reorthogonalize
+    monkeypatch.setattr(lanczos, "_reorthogonalize", recording)
+    rng = np.random.default_rng(43)
+    n = 5000
+    A = diag_op(rng.standard_normal(n))
+    g = rng.standard_normal(n)
+    reference = _out_of_place_run(A, g, 40)
+    # a store of 4 columns doubles three times during the run
+    grown = lanczos_run(A, g, 40, capacity=4)
+    assert grown._store.array.shape[1] == 64
+    _assert_matches_reference(grown, reference)
+    # two extensions branched from one factorization, the second on a copy
+    base = lanczos_run(A, g, 10)
+    first = extend_lanczos(base, A, 15)
+    second = extend_lanczos(base, A, 30)
+    assert second._store is not first._store
+    for f in (base, first, second):
+        _assert_matches_reference(f, reference)
+    # one step per call, as gltr_solve extends
+    stepped = lanczos_run(A, g, 0, capacity=41)
+    for _ in range(40):
+        stepped = extend_lanczos(stepped, A, 1)
+    _assert_matches_reference(stepped, reference)
+    assert 2 not in passes
+
+    # an outlier eigenvector in the basis and exactly repeated eigenvalues:
+    # each time the Krylov space is exhausted, the residual is rounding error
+    # from the outlier's coordinate, which the first pass cancels
+    d = np.concatenate([[1e6], np.repeat([1.0, 2.0], n // 2)[: n - 1]])
+    A = diag_op(d)
+    reference = _out_of_place_run(A, g, 30)
+    passes.clear()
+    f = lanczos_run(A, g, 12, breakdown_tol=0.0)
+    f = extend_lanczos(f, A, 18, breakdown_tol=0.0)
+    _assert_matches_reference(f, reference)
+    assert 2 in passes
+
+
 def _sparse_symmetric(rng, n, nnz_per_row=4):
     rows = np.repeat(np.arange(n), nnz_per_row)
     cols = rng.integers(0, n, rows.size)
@@ -227,14 +341,14 @@ def test_second_pass_runs_when_the_first_cancels():
     Q, _ = np.linalg.qr(rng.standard_normal((n, m)))
     c = rng.standard_normal(m)
     r = Q @ c + 1e-10 * rng.standard_normal(n)
-    out, beta, passes = _reorthogonalize(Q, r)
-    assert passes == 2
-    assert beta == np.linalg.norm(out)
-    assert _max_component_along(Q, out) <= 1e-14
     # one pass alone leaves a rounding-size multiple of ||c|| along Q, far
     # above the working precision of the 1e-10-sized remainder
     lone = r - Q @ (Q.T @ r)
     assert _max_component_along(Q, lone) >= 1e-9
+    beta, passes = _reorthogonalize(Q, r, np.empty(n))  # r is reduced in place
+    assert passes == 2
+    assert beta == np.linalg.norm(r)
+    assert _max_component_along(Q, r) <= 1e-14
 
 
 def test_one_pass_suffices_without_cancellation():
@@ -242,10 +356,10 @@ def test_one_pass_suffices_without_cancellation():
     n, m = 2000, 40
     Q, _ = np.linalg.qr(rng.standard_normal((n, m)))
     r = 1e-3 * Q @ rng.standard_normal(m) + rng.standard_normal(n)
-    out, beta, passes = _reorthogonalize(Q, r)
+    beta, passes = _reorthogonalize(Q, r, np.empty(n))
     assert passes == 1
-    assert beta == np.linalg.norm(out)
-    assert _max_component_along(Q, out) <= 1e-14
+    assert beta == np.linalg.norm(r)
+    assert _max_component_along(Q, r) <= 1e-14
 
 
 def test_basis_stays_orthonormal_over_long_runs_on_adversarial_spectra():
