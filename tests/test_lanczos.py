@@ -203,7 +203,7 @@ def test_in_place_step_matches_out_of_place_arithmetic_bitwise(monkeypatch):
     A = diag_op(rng.standard_normal(n))
     g = rng.standard_normal(n)
     reference = _out_of_place_run(A, g, 40)
-    # a store of 4 columns doubles three times during the run
+    # a store of 4 columns doubles four times during the run
     grown = lanczos_run(A, g, 40, capacity=4)
     assert grown._store.array.shape[1] == 64
     _assert_matches_reference(grown, reference)
