@@ -25,6 +25,9 @@ from .lanczos import operator_norm_2
 from .linalg import IndefiniteShift, orthonormal_complement, smallest_eig_dense, solve_shifted
 
 
+EIGPAIR_TOL = 1e-10  # eigpair_from_trs residual, relative to M_k's largest column norm
+
+
 class VerificationFailed(Exception):
     pass
 
@@ -99,12 +102,12 @@ def assemble_projected(T, beta0, delta):
     return out
 
 
-def eigpair_from_trs(T, lam, h, beta0, delta, tol=1e-10):
+def eigpair_from_trs(T, lam, h, beta0, delta):
     """Rightmost eigenpair of the projected augmented matrix, in closed form.
 
     For a boundary TRS solution (lam, h) the eigenvector is z1 ~ h,
     z2 = (T + lam I)^{-1} z1, normalized to unit length; the eigenvalue is
-    lam itself.  The residual ||M_k z - lam z|| is verified against tol
+    lam itself.  The residual ||M_k z - lam z|| is verified against EIGPAIR_TOL
     times the largest column norm of M_k, a lower bound on ||M_k||_2.
     """
     h = np.asarray(h, dtype=float)
@@ -117,9 +120,10 @@ def eigpair_from_trs(T, lam, h, beta0, delta, tol=1e-10):
     z = np.concatenate([z1, z2])
     resid = float(np.linalg.norm(mk @ z - lam * z))
     col_norm = float(np.linalg.norm(mk, axis=0).max())
-    if resid > tol * max(col_norm, 1e-300):
+    if resid > EIGPAIR_TOL * max(col_norm, 1e-300):
         raise VerificationFailed(
-            f"eigenpair residual {resid:.3e} exceeds {tol:.1e} * max column norm {col_norm:.3e}"
+            f"eigenpair residual {resid:.3e} exceeds {EIGPAIR_TOL:.1e} * max column norm "
+            f"{col_norm:.3e}"
         )
     return AugmentedEigenpair(mu=lam, z1=z1, z2=z2)
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_shifted
-
 
 class HardOrIndefiniteShift(Exception):
     pass
@@ -175,17 +173,14 @@ class EtaFactors:
     eta2_cap: float
 
 
-def eta_factors(T, lambda_opt, beta0, delta, alpha1):
+def eta_factors(moment, lambda_opt, beta0, delta, alpha1):
     """Exact multiplier-bound factors plus their k-independent caps.
 
-    eta1 = beta0^2 / (delta^2 + beta0^2 e1^T (T+lam I)^{-2} e1) and
-    eta2 = 2 / (same denominator); the resolvent moment comes from one
-    shifted solve since e1^T (T+lam I)^{-2} e1 = ||(T+lam I)^{-1} e1||^2.
+    eta1 = beta0^2 / (delta^2 + beta0^2 moment) and eta2 = 2 / (same
+    denominator), with the resolvent moment e1^T (T+lam I)^{-2} e1 =
+    ||(T+lam I)^{-1} e1||^2 of the projected T at lam = lambda_opt.  Raises
+    ValueError if a factor exceeds its cap by more than rounding.
     """
-    e1 = np.zeros(T.order)
-    e1[0] = 1.0
-    x = solve_shifted(T, lambda_opt, e1)
-    moment = float(x @ x)
     denom = delta * delta + beta0 * beta0 * moment
     eta1 = beta0 * beta0 / denom
     eta2 = 2.0 / denom

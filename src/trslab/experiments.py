@@ -40,11 +40,12 @@ from .augmented import (
 from .gltr import check_budget, gltr_solve
 from .lanczos import estimate_extremal_eigenvalues, operator_norm_2
 from .lanczos import lanczos_run  # noqa: F401  not called here; perfbench/layers.py rebinds it
-from .linalg import SymmetricLinearOperator, ldl_back, ldl_forward, ldl_shifted, solve_spd_operator
+from .linalg import SymmetricLinearOperator, ldl_back, ldl_forward, ldl_shifted, solve_shifted
 from .mmio import read_matrix_market, read_vector
 from .trs import BOUNDARY, solve_trs_spectral
 
 FAMILIES = ("1a", "1b", "2", "3", "4", "file")
+REFERENCE_TOL = 1e-14  # secular and residual tolerance of reference_solution
 
 CSV_COLUMNS = [
     "k",
@@ -260,13 +261,15 @@ class ReferenceSolution:
     y2: np.ndarray
 
 
-def reference_solution(A, g, delta, tol=1e-14):
+def reference_solution(A, g, delta):
     """High-accuracy reference (lambda_opt, s_opt, ...) for error measurement.
 
     Operators with a known spectrum (diagonal, or with `eigenvalue_vector`)
-    get a direct secular solve and an exact ||M|| in the eigenbasis; general
+    get a direct secular solve and an exact ||M|| in the eigenbasis.  General
     operators are solved by the Krylov driver at a tighter residual tolerance
-    than any measured run, and ||M|| comes from the Lanczos estimator on M'M.
+    than any measured run; y2 = (A + lam I)^-1 s_opt is Q (T + lam I)^-1 Q' s_opt
+    from the LDL' factors of that run's T, and ||M|| comes from the Lanczos
+    estimator on M'M.
     """
     g = np.asarray(g, dtype=float)
     beta0 = float(np.linalg.norm(g))
@@ -276,19 +279,18 @@ def reference_solution(A, g, delta, tol=1e-14):
             theta, c, back = A.diagonal, g, lambda w: w
         else:
             theta, c, back = A.eigenvalue_vector, A.to_eigenbasis(g), A.from_eigenbasis
-        lam, s_eig, _, _ = solve_trs_spectral(theta, c, delta, tol=tol)
+        lam, s_eig, _, _ = solve_trs_spectral(theta, c, delta, tol=REFERENCE_TOL)
         s_opt = back(s_eig)
         q_opt = float(c @ s_eig + 0.5 * np.sum(theta * s_eig * s_eig))
         alpha1, alpha_n = float(theta.max()), float(theta.min())
         y2_raw = back(s_eig / (theta + lam))
         m_norm = m_norm_from_spectrum(theta, c, delta)
     else:
-        run = gltr_solve(A, g, delta, resid_tol=tol, k_max=600)
-        lam = run.lam
-        s_opt = run.s
-        q_opt = run.q
+        run = gltr_solve(A, g, delta, resid_tol=REFERENCE_TOL, k_max=600)
+        lam, s_opt, q_opt = run.lam, run.s, run.q
         alpha_n, alpha1 = getattr(A, "extremal_eigenvalues", None) or estimate_extremal_eigenvalues(A)
-        y2_raw = solve_spd_operator(lambda v: A.apply(v) + lam * v, s_opt, tol=1e-13)
+        Q, T = run.factorization.basis, run.factorization.tridiag
+        y2_raw = Q @ solve_shifted(T, lam, Q.T @ s_opt)
         m_norm = operator_norm_2(AugmentedOperator(A, g, delta))
 
     sd = bnd.spectrum_data(alpha1, alpha_n, lam, beta0, delta)
@@ -407,23 +409,15 @@ def run_experiment(
         cols["resid_formula"][idx] = rec.resid_formula
 
         x = ldl_back(ref_d[: k + 1], ref_l[:k], ref_y[: k + 1])
-        moment1 = float(x[0])
-        moment2 = float(x @ x)
-        denom = delta * delta + beta0 * beta0 * moment2
-        eta1 = beta0 * beta0 / denom
-        eta2 = 2.0 / denom
-        cols["cg_gap"][idx] = ref_moment - moment1
+        ef = bnd.eta_factors(float(x @ x), ref.lambda_opt, beta0, delta, ref.alpha1)
+        cols["cg_gap"][idx] = ref_moment - float(x[0])
         cols["cg_gap_bound"][idx] = bnd.cg_energy_bound(k, sd)
-        cols["lambda_gap_bound"][idx] = bnd.lambda_gap_bound(k, sd, eta1, eta2)
+        cols["lambda_gap_bound"][idx] = bnd.lambda_gap_bound(k, sd, ef.eta1, ef.eta2)
         cols["q_gap_bound"][idx] = bnd.q_gap_bound(k, sd)
         cols["s_gap_bound"][idx] = bnd.s_gap_bound(k, sd)
-        cols["resid_bound"][idx] = bnd.residual_bound(k, sd, eta1, eta2)
-        diag_data["eta1"][idx] = eta1
-        diag_data["eta2"][idx] = eta2
-        a_shift = ref.alpha1 + ref.lambda_opt
-        cap_denom = beta0 * beta0 + a_shift * a_shift * delta * delta
-        diag_data["eta1_cap"][idx] = beta0 * beta0 * a_shift * a_shift / cap_denom
-        diag_data["eta2_cap"][idx] = 2.0 * a_shift * a_shift / cap_denom
+        cols["resid_bound"][idx] = bnd.residual_bound(k, sd, ef.eta1, ef.eta2)
+        for key in ("eta1", "eta2", "eta1_cap", "eta2_cap"):
+            diag_data[key][idx] = getattr(ef, key)
 
         if k in checkpoints and rec.case == BOUNDARY:
             pair = eigpair_from_trs(t_k, rec.lam, h, beta0=beta0, delta=delta)
@@ -443,13 +437,9 @@ def run_experiment(
 
     table = ExperimentTable(columns=cols)
     summary = _summary(spec, ref, run, sd, beta0)
-    extra = None
     if diagnostics:
-        m_op = AugmentedOperator(A, g, delta)
-        final_basis = run.factorization.basis
-        gamma_final = gamma_tilde(m_op, final_basis)
-        extra = dict(diag_data)
-        extra["gamma_tilde_final"] = gamma_final
+        gamma_final = gamma_tilde(AugmentedOperator(A, g, delta), run.factorization.basis)
+        extra = dict(diag_data, gamma_tilde_final=gamma_final)
     else:
         extra = {key: diag_data[key] for key in ("sep", "eta1", "eta2", "eta1_cap", "eta2_cap", "spectral_condition")}
     return ExperimentResult(

@@ -82,7 +82,6 @@ def gltr_solve(
     delta,
     resid_tol=1e-13,
     k_max=300,
-    secular_tol=1e-13,
     breakdown_tol=1e-12,
     verify_residuals=False,
     keep_iterates=False,
@@ -119,7 +118,7 @@ def gltr_solve(
 
     for k in range(k_max + 1):
         T = fact.tridiag
-        sol = solve_trs_tridiagonal(T, beta0, delta, secular_tol, lam_lower=warm, factors=factors)
+        sol = solve_trs_tridiagonal(T, beta0, delta, lam_lower=warm, factors=factors)
         h = sol.h
         lam = sol.lam
         if sol.case == BOUNDARY:

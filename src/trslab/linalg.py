@@ -10,7 +10,7 @@ problem, numpy's per-element and per-call costs would outweigh the
 arithmetic.  Eigenvalues go to LAPACK through numpy.linalg: the extremal
 ones of a tridiagonal that the solver needs, and the dense symmetric
 eigenproblems of the oracle and the harness.
-Also here: a Householder orthonormal complement and conjugate gradients.
+Also here: a Householder orthonormal complement.
 Operator 2-norms and extremal eigenvalues of operators are estimated by
 Lanczos in the lanczos module.
 """
@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+SYM_TOL = 1e-12  # largest asymmetry |a_ij - a_ji| accepted, relative to max(1, max |a|)
 
 
 class IndefiniteShift(Exception):
@@ -33,11 +35,7 @@ class IndefiniteShift(Exception):
 
 
 class NoConvergence(Exception):
-    """An iterative kernel hit its iteration budget; carries the final residual."""
-
-    def __init__(self, message, residual=None):
-        self.residual = residual
-        super().__init__(message)
+    """An iterative kernel hit its iteration budget."""
 
 
 class ZeroVector(Exception):
@@ -133,10 +131,10 @@ class SymmetricLinearOperator:
         return cls(d.size, lambda v: d * v, diagonal=d)
 
     @classmethod
-    def from_dense(cls, a, sym_tol=1e-12):
+    def from_dense(cls, a):
         a = np.asarray(a, dtype=float)
         scale = max(1.0, float(np.abs(a).max()))
-        if np.abs(a - a.T).max() > sym_tol * scale:
+        if np.abs(a - a.T).max() > SYM_TOL * scale:
             raise ValueError("matrix is not symmetric")
         return cls(a.shape[0], lambda v: a @ v, dense=a)
 
@@ -259,31 +257,3 @@ def orthonormal_complement(v):
         comp -= np.outer(u, (2.0 / unorm2) * u[1:])
     return comp
 
-
-def solve_spd_operator(apply_fn, b, tol=1e-13, maxit=None):
-    """Conjugate gradient solve for a symmetric positive definite operator."""
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    if maxit is None:
-        maxit = 20 * n
-    x = np.zeros(n)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    bnorm = math.sqrt(float(b @ b))
-    if bnorm == 0.0:
-        return x
-    for _ in range(maxit):
-        if math.sqrt(rs) <= tol * bnorm:
-            return x
-        ap = apply_fn(p)
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            raise IndefiniteShift(-1, denom)
-        alpha = rs / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise NoConvergence("conjugate gradient stalled", residual=math.sqrt(rs) / bnorm)

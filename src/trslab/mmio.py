@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .linalg import SYM_TOL
+
 
 class ParseError(Exception):
     def __init__(self, path, line_no, message):
@@ -35,11 +37,11 @@ def _real(path, line_no, tok):
     return value
 
 
-def read_matrix_market(path, sym_tol=1e-12):
+def read_matrix_market(path):
     """Read a Matrix Market file into triplets of a symmetric matrix.
 
     Returns (n, rows, cols, values) with both triangles present.  A
-    'general' matrix must be numerically symmetric.
+    'general' matrix must be symmetric to within SYM_TOL.
     """
     lines = _data_lines(path)
     try:
@@ -110,7 +112,7 @@ def read_matrix_market(path, sym_tol=1e-12):
             vals = np.concatenate([v0, v0[off]])
         else:
             rows, cols, vals = r0, c0, v0
-            _check_triplet_symmetry(path, nrows, rows, cols, vals, sym_tol)
+            _check_triplet_symmetry(path, rows, cols, vals)
         return nrows, rows, cols, vals
 
     # dense array, column-major per the format definition
@@ -143,19 +145,19 @@ def read_matrix_market(path, sym_tol=1e-12):
     else:
         a = np.array(values).reshape((ncols, nrows)).T
         scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > sym_tol * scale:
+        if float(np.abs(a - a.T).max()) > SYM_TOL * scale:
             raise ParseError(path, size_line[0], "general array matrix is not symmetric")
     rows, cols = np.nonzero(a)
     return nrows, rows, cols, a[rows, cols]
 
 
-def _check_triplet_symmetry(path, n, rows, cols, vals, sym_tol):
+def _check_triplet_symmetry(path, rows, cols, vals):
     a = {}
     for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
         a[(i, j)] = a.get((i, j), 0.0) + v
     scale = max(1.0, max(abs(v) for v in a.values()) if a else 1.0)
     for (i, j), v in a.items():
-        if abs(v - a.get((j, i), 0.0)) > sym_tol * scale:
+        if abs(v - a.get((j, i), 0.0)) > SYM_TOL * scale:
             raise ParseError(path, 0, f"general matrix is not symmetric at ({i + 1}, {j + 1})")
 
 

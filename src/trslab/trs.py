@@ -41,6 +41,11 @@ from .lanczos import estimate_extremal_eigenvalues
 BOUNDARY = "boundary"
 INTERIOR = "interior"
 
+SECULAR_TOL = 1e-13  # relative tolerance on ||h|| = delta in the tridiagonal solve
+SECULAR_MAX_ITER = 50  # Newton steps per tridiagonal solve
+SPECTRAL_MAX_ITER = 300  # iterations of the oracle's explicit secular solve
+ORACLE_CAP = 500  # largest order solve_trs_dense accepts
+
 
 class NearHardCase(Exception):
     """The boundary multiplier would need lam -> -theta_min with ||h|| < delta."""
@@ -70,7 +75,7 @@ class TrsSolution:
     factors: tuple | None = None  # _factor at lam, None after _boundary_between
 
 
-def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=None, factors=None):
+def solve_trs_tridiagonal(T, beta0, delta, lam_lower=None, factors=None):
     """Solve min beta0*e1^T h + h^T T h / 2 subject to ||h|| <= delta.
 
     `lam_lower` is a lower bound on the multiplier (the previous Krylov
@@ -78,11 +83,12 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
     is of T + start*I, start = max(lam_lower, 0), and it alone decides
     whether theta_min(T) is needed (More and Sorensen 1983).  If it is
     positive definite, start = 0 and ||h|| < delta, the solution is interior
-    (lam = 0); if ||h|| >= delta*(1 - tol), the multiplier lies above start
-    and safeguarded Newton runs from there.  Only an indefinite start, or a
-    positive start whose ||h|| falls short of delta (a lower bound that
-    rounding pushed above the root), asks LAPACK for theta_min(T): a
-    near-hard probe just above max(0, -theta_min) follows, then Newton.
+    (lam = 0); if ||h|| >= delta*(1 - SECULAR_TOL), the multiplier lies
+    above start and safeguarded Newton runs from there.  Only an indefinite
+    start, or a positive start whose ||h|| falls short of delta (a lower
+    bound that rounding pushed above the root), asks LAPACK for
+    theta_min(T): a near-hard probe just above max(0, -theta_min) follows,
+    then Newton.
 
     `factors` may carry the `factors` of the solution for the leading block
     of order m - 1 of T with the same beta0; taken at start, they leave the
@@ -92,7 +98,7 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
     between its ends is returned (see _boundary_between).  Raises
     ValueError unless beta0 and delta are positive and finite, NearHardCase
     when no positive definite shift reaches the boundary, and NoConvergence
-    when max_iter Newton steps do not converge.
+    when SECULAR_MAX_ITER Newton steps do not converge.
     """
     if not 0.0 < beta0 < math.inf:
         raise ValueError(f"beta0 must be positive and finite, got {beta0!r}")
@@ -116,10 +122,8 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
         nh = float(np.linalg.norm(h))
         if start == 0.0 and nh < delta:
             return TrsSolution(0.0, h, INTERIOR, 1, factors=fac)
-        if nh >= delta * (1.0 - tol):
-            return _secular_newton(
-                T, rhs, delta, tol, max_iter, start, hi, start, pinch, h=h, fac=fac
-            )
+        if nh >= delta * (1.0 - SECULAR_TOL):
+            return _secular_newton(T, rhs, delta, start, hi, start, pinch, h=h, fac=fac)
 
     theta_min, _ = extremal_eig_tridiagonal(T)
     lam_floor = max(0.0, -theta_min)
@@ -140,7 +144,7 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
             hp = None
         if hp is not None and probe - lam_floor <= 1e-13 * scale:
             np_norm = float(np.linalg.norm(hp))
-            if np_norm < delta * (1.0 - tol):
+            if np_norm < delta * (1.0 - SECULAR_TOL):
                 raise NearHardCase(delta - np_norm, theta_min=theta_min)
 
     # A positive definite start whose ||h|| fell short of delta lies above the
@@ -151,8 +155,8 @@ def solve_trs_tridiagonal(T, beta0, delta, tol=1e-13, max_iter=50, lam_lower=Non
         if not start < hi:
             start = lam_floor + 0.5 * (hi - lam_floor)
     return _secular_newton(
-        T, rhs, delta, tol, max_iter, lam_floor, hi, start, pinch, theta_min=theta_min,
-        h=h, fac=fac, iterations=iterations,
+        T, rhs, delta, lam_floor, hi, start, pinch, theta_min=theta_min, h=h, fac=fac,
+        iterations=iterations,
     )
 
 
@@ -177,8 +181,7 @@ def _factor(T, lam, rhs, carried=None):
 
 
 def _secular_newton(
-    T, rhs, delta, tol, max_iter, lo, hi, lam, pinch, theta_min=None, h=None, fac=None,
-    iterations=1,
+    T, rhs, delta, lo, hi, lam, pinch, theta_min=None, h=None, fac=None, iterations=1
 ):
     """Safeguarded Newton on 1/||h(lam)|| - 1/delta inside the bracket [lo, hi].
 
@@ -190,7 +193,7 @@ def _secular_newton(
     ||h|| > delta, the case is near-hard.
     """
     h_lo = h_hi = None  # solutions at the bracket ends, once evaluated
-    for _ in range(max_iter):
+    for _ in range(SECULAR_MAX_ITER):
         if h is None:
             iterations += 1
             try:
@@ -201,7 +204,7 @@ def _secular_newton(
                 continue
             h = ldl_back(*fac[1:])
         nh = float(np.linalg.norm(h))
-        if abs(nh - delta) <= tol * delta:
+        if abs(nh - delta) <= SECULAR_TOL * delta:
             return TrsSolution(lam, h, BOUNDARY, iterations, factors=fac)
         if nh > delta:
             lo, h_lo = lam, h
@@ -223,7 +226,7 @@ def _secular_newton(
             lam_new = lo + 0.5 * (hi - lo)
         lam = lam_new
         h = None
-    raise NoConvergence(f"secular iteration budget ({max_iter}) exhausted")
+    raise NoConvergence(f"secular iteration budget ({SECULAR_MAX_ITER}) exhausted")
 
 
 def _boundary_between(lo, h_lo, hi, h_hi, delta, iterations):
@@ -245,7 +248,7 @@ def _boundary_between(lo, h_lo, hi, h_hi, delta, iterations):
     return TrsSolution(lo + t * (hi - lo), h_lo + t * d, BOUNDARY, iterations)
 
 
-def solve_trs_spectral(eigenvalues, coeffs, delta, tol=1e-14, max_iter=300):
+def solve_trs_spectral(eigenvalues, coeffs, delta, tol=1e-14):
     """Explicit secular solve given the eigendecomposition of the matrix.
 
     `coeffs` are the components of the gradient in the eigenbasis.  Returns
@@ -283,7 +286,7 @@ def solve_trs_spectral(eigenvalues, coeffs, delta, tol=1e-14, max_iter=300):
     hi = max(math.sqrt(float(np.sum(w2))) / delta - theta_min, lam_floor) + 1.0
     lam = lam_floor + max(hi - lam_floor, 1.0) * 1e-3
     saw_excess = False
-    for _ in range(max_iter):
+    for _ in range(SPECTRAL_MAX_ITER):
         iterations += 1
         nh = norm_at(lam)
         if abs(nh - delta) <= tol * delta:
@@ -305,19 +308,19 @@ def solve_trs_spectral(eigenvalues, coeffs, delta, tol=1e-14, max_iter=300):
         if not (lo < lam_new < hi):
             lam_new = lo + 0.5 * (hi - lo)
         lam = lam_new
-    raise NoConvergence(f"spectral secular budget ({max_iter}) exhausted")
+    raise NoConvergence(f"spectral secular budget ({SPECTRAL_MAX_ITER}) exhausted")
 
 
-def solve_trs_dense(A, g, delta, tol=1e-13, oracle_cap=500):
+def solve_trs_dense(A, g, delta, tol=1e-13):
     """Brute-force dense solver: full eigendecomposition plus explicit secular.
 
-    Intended for small instances (order <= oracle_cap); serves as the
+    Intended for small instances (order <= ORACLE_CAP); serves as the
     reference in all equivalence tests.
     """
     dense = np.asarray(A, dtype=float)
     m = dense.shape[0]
-    if m > oracle_cap:
-        raise ValueError(f"order {m} exceeds the oracle cap {oracle_cap}")
+    if m > ORACLE_CAP:
+        raise ValueError(f"order {m} exceeds the oracle cap {ORACLE_CAP}")
     g = np.asarray(g, dtype=float)
     vals, vecs = symmetric_eig_dense(dense)
     c = vecs.T @ g

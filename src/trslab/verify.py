@@ -9,8 +9,6 @@ All checks are deterministic for fixed seeds.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,19 +23,12 @@ _FAMILY_SIZES = {
     "full": {"1a": 10000, "1b": 10000, "2": 10000, "3": 10000, "4": 2000},
 }
 
-
-def thread_budget():
-    raw = os.environ.get("TRSLAB_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        value = min(4, os.cpu_count() or 1)
-    return value
+MAX_ORDER = 40  # largest order of a random_secular_instance
+HARD_MARGIN = 1e-3  # its least theta_min + lam, relative to 1 + |theta_min|
+CHEBYSHEV_TERMS = 200  # series terms in check_chebyshev_identity
 
 
-def random_secular_instance(rng, max_order=40, hard_margin=1e-3):
+def random_secular_instance(rng):
     """A random tridiagonal TRS instance kept clear of the hard case.
 
     The tridiagonals are Krylov projections of random diagonal operators,
@@ -48,9 +39,9 @@ def random_secular_instance(rng, max_order=40, hard_margin=1e-3):
     positive, since below that the boundary norm is too steep in lam for
     any two routes to be comparable at full accuracy.
     """
-    n_ambient = 6 * max_order
+    n_ambient = 6 * MAX_ORDER
     while True:
-        m = int(rng.integers(1, max_order + 1))
+        m = int(rng.integers(1, MAX_ORDER + 1))
         spectrum = rng.uniform(-3.0, 3.0, n_ambient)
         op = SymmetricLinearOperator.from_diagonal(spectrum)
         start = rng.standard_normal(n_ambient)
@@ -64,7 +55,7 @@ def random_secular_instance(rng, max_order=40, hard_margin=1e-3):
             lam, s_eig, _, case = solve_trs_spectral(vals, coeffs, delta, tol=1e-14)
         except NearHardCase:
             continue
-        if vals[0] + lam < hard_margin * (1.0 + abs(vals[0])):
+        if vals[0] + lam < HARD_MARGIN * (1.0 + abs(vals[0])):
             continue
         return T, beta0, delta, (lam, vecs @ s_eig, case)
 
@@ -77,7 +68,7 @@ def check_oracle_equivalence(instances=500, seed=123):
     worst_it = 0
     for _ in range(instances):
         T, beta0, delta, (lam_o, h_o, case_o) = random_secular_instance(rng)
-        sol = solve_trs_tridiagonal(T, beta0, delta, tol=1e-13)
+        sol = solve_trs_tridiagonal(T, beta0, delta)
         worst_it = max(worst_it, sol.secular_iterations)
         worst_lam = max(worst_lam, abs(sol.lam - lam_o) / (1.0 + lam_o))
         worst_h = max(worst_h, float(np.max(np.abs(sol.h - h_o))))
@@ -208,7 +199,7 @@ def check_rates(result):
     return passed, margin, detail
 
 
-def check_chebyshev_identity(samples=100, seed=2, terms=200):
+def check_chebyshev_identity(samples=100, seed=2):
     """Truncated generating series against its closed form.
 
     The 200-term tail at the extreme corner (t near 0.9, x near 1) decays
@@ -217,10 +208,10 @@ def check_chebyshev_identity(samples=100, seed=2, terms=200):
     below the tolerance.
     """
     rng = np.random.default_rng(seed)
-    j = np.arange(float(terms))
+    j = np.arange(float(CHEBYSHEV_TERMS))
 
     def rel_err(t, x):
-        u = bnd.chebyshev_u_values(terms, np.array([x]))[:, 0]
+        u = bnd.chebyshev_u_values(CHEBYSHEV_TERMS, np.array([x]))[:, 0]
         val = float(np.sum((j + 1.0) * t**j * u))
         target = bnd.generating_series_value(t, x)
         return abs(val - target) / (1.0 + abs(target))
@@ -246,21 +237,11 @@ def verify(scale="quick", seed=0, stream=None):
     oracle_instances = 120 if scale == "quick" else 500
     families = ("1a", "2", "3") if scale == "quick" else ("1a", "1b", "2", "3", "4")
 
-    def run_one(fam):
-        return fam, _run_family(fam, scale, seed=seed)
-
-    workers = thread_budget()
-    if scale == "full" and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(run_one, families))
-    else:
-        results = dict(run_one(f) for f in families)
-
     checks = []
     checks.append(("oracle_equivalence", *check_oracle_equivalence(instances=oracle_instances)))
     checks.append(("chebyshev_identity", *check_chebyshev_identity()))
     for fam in families:
-        res = results[fam]
+        res = _run_family(fam, scale, seed=seed)
         checks.append((f"residual_identity[{fam}]", *check_residual_identity(res)))
         checks.append((f"monotonicity[{fam}]", *check_monotonicity(res)))
         checks.append((f"bound_dominance[{fam}]", *check_dominance(res)))

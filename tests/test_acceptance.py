@@ -105,7 +105,7 @@ def test_criterion_3_eigen_equivalence(acceptance_runs):
                 continue
             t_k = tridiag.leading(rec.k + 1)
             # raises VerificationFailed beyond 1e-10 * ||M_k||
-            eigpair_from_trs(t_k, rec.lam, h, beta0=beta0, delta=delta, tol=1e-10)
+            eigpair_from_trs(t_k, rec.lam, h, beta0=beta0, delta=delta)
             checked += 1
 
     # full-space recovery on dense instances

@@ -127,7 +127,8 @@ def test_ck_factor_reference_value():
 
 def test_eta_factors_scalar_instance():
     T = la.SymmetricTridiagonal([1.0], [])
-    ef = bd.eta_factors(T, 1.0, 2.0, 1.0, 1.0)
+    x = la.solve_shifted(T, 1.0, [1.0])
+    ef = bd.eta_factors(float(x @ x), 1.0, 2.0, 1.0, 1.0)
     assert ef.eta1 == pytest.approx(2.0, abs=1e-12)
     assert ef.eta2 == pytest.approx(1.0, abs=1e-12)
     # with T = [alpha1] the exact factors sit on their caps
@@ -144,7 +145,8 @@ def test_eta_factors_cap_and_ratio():
         beta0 = float(rng.uniform(0.5, 2.0))
         delta = float(rng.uniform(0.5, 2.0))
         hi = la.extremal_eig_tridiagonal(T)[1]
-        ef = bd.eta_factors(T, lam, beta0, delta, hi)
+        x = la.solve_shifted(T, lam, np.eye(m)[0])
+        ef = bd.eta_factors(float(x @ x), lam, beta0, delta, hi)
         assert ef.eta1 <= ef.eta1_cap * (1 + 1e-12)
         assert ef.eta2 <= ef.eta2_cap * (1 + 1e-12)
         assert ef.eta2 / ef.eta1 == pytest.approx(2.0 / beta0**2, rel=1e-12)

@@ -174,6 +174,15 @@ def test_reference_eigvector_relation(small_run):
     assert np.abs(lhs - res.reference.y1).max() <= 1e-8
 
 
+def test_reference_eigvector_relation_on_a_general_operator():
+    # family 4 has no known spectrum: y2 comes from the reference run's
+    # projected factorization, Q (T + lam I)^-1 Q' s_opt
+    A, g = ex.generate(ex.ProblemSpec("4", 300, 1.0, 3))
+    ref = ex.reference_solution(A, g, 1.0)
+    lhs = A.dense @ ref.y2 + ref.lambda_opt * ref.y2
+    assert np.abs(lhs - ref.y1).max() <= 1e-12
+
+
 def test_run_experiment_row_structure(small_run):
     res = small_run
     t = res.table

@@ -362,7 +362,16 @@ def test_one_pass_suffices_without_cancellation():
     assert _max_component_along(Q, r) <= 1e-14
 
 
-def test_basis_stays_orthonormal_over_long_runs_on_adversarial_spectra():
+def test_basis_stays_orthonormal_over_long_runs_on_adversarial_spectra(monkeypatch):
+    second_passes = []
+
+    def recording(qmat, r, work):
+        beta, count = reorthogonalize(qmat, r, work)
+        second_passes.append(count == 2)
+        return beta, count
+
+    reorthogonalize = lanczos._reorthogonalize
+    monkeypatch.setattr(lanczos, "_reorthogonalize", recording)
     rng = np.random.default_rng(31)
     n, steps = 3000, 300
     half = n // 2
@@ -373,10 +382,19 @@ def test_basis_stays_orthonormal_over_long_runs_on_adversarial_spectra():
         "clusters near 0 and 1e6": np.concatenate(
             [1e-3 * rng.uniform(0.0, 1.0, half), 1e6 + rng.uniform(0.0, 1.0, n - half)]
         ),
+        # an outlier over two repeated values, run past the breakdown: each
+        # residual is then rounding error that the first pass mostly cancels
+        "outlier 1e6 over 0 and 1": np.concatenate(
+            [[1e6], np.repeat([0.0, 1.0], (n - 1) // 2), [1.0]]
+        ),
     }
     for name, d in spectra.items():
-        f = lanczos_run(diag_op(d), rng.standard_normal(n), steps)
+        tol = 0.0 if name.startswith("outlier") else 1e-12
+        second_passes.clear()
+        f = lanczos_run(diag_op(d), rng.standard_normal(n), steps, breakdown_tol=tol)
         assert not f.broken_down and f.k == steps, name
         Q = f.basis
         loss = np.abs(Q.T @ Q - np.eye(steps + 1)).max()
         assert loss <= 1e-13, (name, loss)
+    # the outlier run, the last, takes the second pass on a third of its steps
+    assert sum(second_passes) >= 100

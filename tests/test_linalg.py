@@ -265,12 +265,3 @@ def test_orthonormal_complement_properties():
     with pytest.raises(la.ZeroVector):
         la.orthonormal_complement(np.zeros(3))
 
-
-def test_cg_solver():
-    rng = np.random.default_rng(2)
-    m = 50
-    a = rng.standard_normal((m, m))
-    spd = a @ a.T + m * np.eye(m)
-    b = rng.standard_normal(m)
-    x = la.solve_spd_operator(lambda v: spd @ v, b, tol=1e-13)
-    assert np.linalg.norm(spd @ x - b) <= 1e-11 * np.linalg.norm(b)

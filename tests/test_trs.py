@@ -4,6 +4,7 @@ import pytest
 from trslab import linalg as la
 from trslab import trs
 from trslab.experiments import HouseholderSimilarityOperator, reference_solution
+from trslab.lanczos import lanczos_run
 from trslab.verify import random_secular_instance
 
 
@@ -35,7 +36,7 @@ def test_interior_one_by_one():
 
 def test_tridiagonal_matches_secular_oracle():
     T = la.SymmetricTridiagonal([2.0, 2.0, 2.0], [1.0, 1.0])
-    sol = trs.solve_trs_tridiagonal(T, 1.0, 1.0, tol=1e-13)
+    sol = trs.solve_trs_tridiagonal(T, 1.0, 1.0)
     vals, vecs = la.symmetric_eig_dense(T.to_dense())
     coeffs = vecs.T @ np.array([1.0, 0.0, 0.0])
     lam_o, s_eig, _, _ = trs.solve_trs_spectral(vals, coeffs, 1.0, tol=1e-14)
@@ -48,7 +49,7 @@ def test_oracle_equivalence_random_instances():
     worst_iters = 0
     for _ in range(150):
         T, beta0, delta, (lam_o, h_o, case_o) = random_secular_instance(rng)
-        sol = trs.solve_trs_tridiagonal(T, beta0, delta, tol=1e-13)
+        sol = trs.solve_trs_tridiagonal(T, beta0, delta)
         assert sol.case == case_o
         assert abs(sol.lam - lam_o) <= 1e-9 * (1.0 + lam_o)
         assert np.abs(sol.h - h_o).max() <= 1e-8
@@ -98,6 +99,19 @@ def test_tridiagonal_near_hard_case():
         trs.solve_trs_tridiagonal(T, 1.0, 10.0)
 
 
+def test_near_hard_probe_raises_where_newton_would_reach_the_boundary():
+    # g is nearly orthogonal to the lowest eigenvector, so ||h(lam)|| stays
+    # below delta down to lam = -theta_min + 1e-14 scale, where the probe
+    # looks; without the probe, Newton returns a boundary lam near 3
+    d = np.concatenate([[-3.0], np.linspace(-1.0, 2.0, 49)])
+    g = np.ones(50)
+    g[0] = 1e-12
+    T = lanczos_run(la.SymmetricLinearOperator.from_diagonal(d), g, 49).tridiag
+    with pytest.raises(trs.NearHardCase) as exc:
+        trs.solve_trs_tridiagonal(T, float(np.linalg.norm(g)), 43.0)
+    assert exc.value.gap == pytest.approx(19.5, abs=0.05)
+
+
 def test_dense_oracle_cap():
     with pytest.raises(ValueError):
         trs.solve_trs_dense(np.eye(501), np.ones(501), 1.0)
@@ -106,8 +120,8 @@ def test_dense_oracle_cap():
 def test_warm_start_is_honored():
     rng = np.random.default_rng(5)
     T = la.SymmetricTridiagonal(rng.standard_normal(12), rng.standard_normal(11))
-    sol = trs.solve_trs_tridiagonal(T, 1.5, 0.8, tol=1e-13)
-    warm = trs.solve_trs_tridiagonal(T, 1.5, 0.8, tol=1e-13, lam_lower=sol.lam * 0.999)
+    sol = trs.solve_trs_tridiagonal(T, 1.5, 0.8)
+    warm = trs.solve_trs_tridiagonal(T, 1.5, 0.8, lam_lower=sol.lam * 0.999)
     assert abs(warm.lam - sol.lam) <= 1e-9 * (1 + sol.lam)
     assert warm.secular_iterations <= sol.secular_iterations + 2
 

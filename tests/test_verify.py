@@ -8,15 +8,6 @@ from trslab.experiments import ProblemSpec, run_experiment
 from trslab.trs import BOUNDARY
 
 
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.setenv("TRSLAB_THREADS", "3")
-    assert verify.thread_budget() == 3
-    monkeypatch.setenv("TRSLAB_THREADS", "not-a-number")
-    assert verify.thread_budget() >= 1
-    monkeypatch.delenv("TRSLAB_THREADS")
-    assert verify.thread_budget() >= 1
-
-
 def test_instance_generator_avoids_hard_case():
     rng = np.random.default_rng(55)
     for _ in range(40):
