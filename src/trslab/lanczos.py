@@ -13,17 +13,21 @@ and T's inf-norm), so neither is rebuilt from all rows at every step.
 
 A run writes its basis into one column-major n x capacity store that grows
 in place (doubling when full), and the reorthogonalization works on the
-filled prefix of that store directly.  A factorization's `basis` is a
-read-only view of that prefix.  Factorizations are immutable values:
-extending one appends to its store when it is the newest value on that store,
-and otherwise copies its basis into a new store first, so earlier values
-never change.  Either way the result is entrywise identical to a longer
-fresh run.
+filled prefix of that store directly.  The store also holds T's diagonal and
+off-diagonal in buffers of the same capacity, and, when it has room, the
+dangling q_{k+1} in its first unfilled column.  A factorization's `basis`,
+`tridiag` and `next_vector` are read-only views of the store.
+Factorizations are immutable values: extending one appends to its store in
+place when it is the newest value on that store, claiming q_{k+1} where it
+lies, and otherwise copies its basis and T into a new store first, so
+earlier values never change.  Either way the result is entrywise identical
+to a longer fresh run, and a step's bookkeeping outside the recurrence and
+the Gram-Schmidt passes is O(1).
 
 A step allocates no n-vector of its own: the recurrence and the
 Gram-Schmidt passes write through `out=` into a two-vector workspace that
-each store owns (a branch copy gets its own), and a continuing step divides
-its residual straight into the store's next column.  The operations and
+each store owns (a branch copy gets its own), and a step divides its
+residual straight into the store's next column (the spare, when it stops).  The operations and
 their order are those of the plain out-of-place expressions, so the results
 are bitwise the same.  Nothing is written into the array that A.apply
 returns, which may be the operator's input or a buffer it reuses.
@@ -56,46 +60,63 @@ class AlreadyBrokenDown(Exception):
 
 
 class _ColumnStore:
-    """Column-major n x capacity buffer whose first `filled` columns are written.
+    """Column-major n x capacity buffer whose first `filled` columns are written,
+    with T's diagonal and off-diagonal in two buffers of the same capacity.
 
     Column-major keeps every prefix contiguous with leading dimension n, so
     BLAS sees the same operands, and rounds the same way, whatever the
     capacity.  `work` is the step's scratch, two n-vectors allocated once
-    with the store: the residual being built and one product.
+    with the store: the residual being built and one product.  A run that
+    stops with room left writes its dangling q_{k+1} into the first unfilled
+    column, the spare, which resuming then claims as it stands.
     """
 
     def __init__(self, n, capacity):
         self.array = np.empty((n, capacity), order="F")
+        self.diag = np.empty(capacity)
+        self.off = np.empty(capacity)
         self.filled = 0
         self.work = np.empty((2, n))
 
     def claim(self):
-        """The next column, counted as filled; the caller writes it."""
+        """The next column, counted as filled; the caller writes it unless it
+        is the spare."""
         n, capacity = self.array.shape
         if self.filled == capacity:
-            grown = np.empty((n, min(n, 2 * capacity)), order="F")
-            grown[:, :capacity] = self.array
-            self.array = grown
+            grown = min(n, 2 * capacity)
+            array = np.empty((n, grown), order="F")
+            array[:, :capacity] = self.array
+            self.array = array
+            self.diag = np.concatenate([self.diag, np.empty(grown - capacity)])
+            self.off = np.concatenate([self.off, np.empty(grown - capacity)])
         self.filled += 1
         return self.array[:, self.filled - 1]
 
-    def append(self, column):
-        self.claim()[:] = column
+    @classmethod
+    def copy_of(cls, f, capacity):
+        """A new store holding a copy of f's basis and T."""
+        order = f.tridiag.order
+        store = cls(f.dim, capacity)
+        store.array[:, :order] = f.basis
+        store.diag[:order] = f.tridiag.diag
+        store.off[: order - 1] = f.tridiag.offdiag
+        store.filled = order
+        return store
 
-    def prefix(self):
-        view = self.array[:, : self.filled]
-        view.flags.writeable = False
-        return view
+
+def _frozen(view):
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
 class LanczosFactorization:
     basis: np.ndarray  # n x (k+1), orthonormal columns q_0 .. q_k, read-only
-    tridiag: SymmetricTridiagonal  # order k+1
+    tridiag: SymmetricTridiagonal  # order k+1, read-only
     beta0: float  # ||g||
     beta_next: float  # beta_{k+1}
     broken_down: bool
-    next_vector: np.ndarray | None  # q_{k+1}, kept so the run can be resumed
+    next_vector: np.ndarray | None  # q_{k+1}, read-only, kept so the run can be resumed
     _store: _ColumnStore | None = dataclasses.field(default=None, repr=False, compare=False)
     # maxima (Gershgorin, inf_norm) over the rows of T that beta_next does not close
     _row_max: tuple = dataclasses.field(default=None, repr=False, compare=False)
@@ -111,22 +132,29 @@ class LanczosFactorization:
     def trimmed(self):
         """The same factorization, holding no more basis columns than it uses.
 
-        Returns self when its store has no spare columns; otherwise the basis
-        is copied out and the store is dropped.
+        Returns self when its store has no spare columns; otherwise the basis,
+        T and q_{k+1} are copied out and the store is dropped.
         """
         if self._store is None or self._store.array.shape[1] == self.basis.shape[1]:
             return self
-        basis = self.basis.copy(order="F")
-        basis.flags.writeable = False
-        return dataclasses.replace(self, basis=basis, _store=None)
+        T = self.tridiag
+        return dataclasses.replace(
+            self,
+            basis=_frozen(self.basis.copy(order="F")),
+            tridiag=SymmetricTridiagonal(
+                _frozen(T.diag.copy()), _frozen(T.offdiag.copy()), T.inf_norm()
+            ),
+            next_vector=None if self.next_vector is None else _frozen(self.next_vector.copy()),
+            _store=None,
+        )
 
 
-def _close_row(row_max, diag, off, beta):
-    """The running row maxima (Gershgorin, inf_norm) of T with its last row
-    closed by beta.  Gershgorin rows, the breakdown test's estimate of ||A||,
-    add |d_i| + |e_{i-1}| + |e_i|; inf_norm adds |d_i| + |e_i| + |e_{i-1}|."""
-    d, right = abs(diag[-1]), abs(beta)
-    left = abs(off[-1]) if off else 0.0
+def _close_row(row_max, delta, left, beta):
+    """The running row maxima (Gershgorin, inf_norm) of T with its last row,
+    diagonal entry delta and off-diagonal `left` above it (0.0 in the first
+    row), closed by beta.  Gershgorin rows, the breakdown test's estimate of
+    ||A||, add |d_i| + |e_{i-1}| + |e_i|; inf_norm adds |d_i| + |e_i| + |e_{i-1}|."""
+    d, left, right = abs(delta), abs(left), abs(beta)
     return max(row_max[0], d + left + right), max(row_max[1], d + right + left)
 
 
@@ -151,16 +179,18 @@ def _reorthogonalize(qmat, r, work):
     return float(np.linalg.norm(r)), 2
 
 
-def _grow(A, store, diag, off, row_max, order_target, breakdown_tol):
+def _grow(A, store, row_max, left, order_target, breakdown_tol):
     """Advance the three-term recurrence until `order_target` steps are done.
 
-    Invariant on entry: `diag` has one entry fewer than `store.filled`, and
-    the last filled column is the vector still to be processed.  The store
-    and the lists are mutated in place; returns (beta_next, q_next,
-    broken_down, row_max), row_max covering the rows that `off` closes.
-    A step writes only into the store's workspace and its next column,
-    never into the array that A.apply returns: an operator may hand back
-    its input or a buffer of its own.
+    Invariant on entry: T holds one row fewer than `store.filled`, the last
+    filled column is the vector still to be processed, and `left` is the
+    off-diagonal entry above its row (0.0 for the first row).  The store is
+    mutated in place; returns (beta_next, q_next, broken_down, row_max,
+    last), row_max covering the rows that T's off-diagonal closes and last
+    the sum |d| + |e| of T's last row.  A step writes only into the store's
+    workspace, its T buffers and its next column, never into the array that
+    A.apply returns: an operator may hand back its input or a buffer of its
+    own.
     """
     n = store.array.shape[0]
     r, work = store.work
@@ -171,37 +201,44 @@ def _grow(A, store, diag, off, row_max, order_target, breakdown_tol):
         delta = float(q_cur @ w)
         if not math.isfinite(delta):  # checked once, here, before any arithmetic on w
             raise ValueError("nonfinite entries")
-        diag.append(delta)
+        store.diag[j - 1] = delta
         np.multiply(q_cur, delta, out=work)
         np.subtract(w, work, out=r)
-        if off:
-            np.multiply(store.array[:, j - 2], off[-1], out=work)
+        if j > 1:
+            np.multiply(store.array[:, j - 2], left, out=work)
             np.subtract(r, work, out=r)
         # complete reorthogonalization: one classical Gram-Schmidt pass, a
         # second only when the first cancels (Kahan-Parlett)
         beta, _ = _reorthogonalize(store.array[:, :j], r, work)
         if not math.isfinite(beta):  # checked once, here
             raise ValueError("nonfinite entries")
-        closed = _close_row(row_max, diag, off, beta)
+        closed = _close_row(row_max, delta, left, beta)
         if beta <= breakdown_tol * closed[0] or j >= n:
-            return beta, None, True, row_max
-        if j == order_target:
-            return beta, r / beta, False, row_max
-        off.append(beta)
-        row_max = closed
-        np.divide(r, beta, out=store.claim())
+            q_next, broken = None, True
+        elif j == order_target:
+            # with room left, q_next goes into the spare column
+            spare = j < store.array.shape[1]
+            q_next, broken = np.divide(r, beta, out=store.array[:, j]) if spare else r / beta, False
+        else:
+            store.off[j - 1] = left = beta
+            row_max = closed
+            np.divide(r, beta, out=store.claim())
+            continue
+        return beta, q_next, broken, row_max, abs(delta) + abs(left)
 
 
-def _assemble(store, diag, off, beta0, beta_next, q_next, broken, row_max):
-    last = abs(diag[-1]) + (abs(off[-1]) if off else 0.0)  # beta_next is not in T
-    tridiag = SymmetricTridiagonal(np.array(diag), np.array(off), max(row_max[1], last))
+def _assemble(store, beta0, beta_next, q_next, broken, row_max, last):
+    m = store.filled
+    tridiag = SymmetricTridiagonal(
+        _frozen(store.diag[:m]), _frozen(store.off[: m - 1]), max(row_max[1], last)
+    )  # beta_next is not in T
     return LanczosFactorization(
-        basis=store.prefix(),
+        basis=_frozen(store.array[:, :m]),
         tridiag=tridiag,
         beta0=beta0,
         beta_next=beta_next,
         broken_down=broken,
-        next_vector=q_next,
+        next_vector=None if q_next is None else _frozen(q_next),
         _store=store,
         _row_max=row_max,
     )
@@ -224,19 +261,19 @@ def lanczos_run(A, g, k_max, breakdown_tol=1e-12, capacity=None):
     if capacity is None:
         capacity = k_max + 1
     store = _ColumnStore(g.size, max(1, min(g.size, capacity)))
-    store.append(g / beta0)
-    diag: list[float] = []
-    off: list[float] = []
-    grown = _grow(A, store, diag, off, _NO_ROWS, k_max + 1, breakdown_tol)
-    return _assemble(store, diag, off, beta0, *grown)
+    np.divide(g, beta0, out=store.claim())
+    grown = _grow(A, store, _NO_ROWS, 0.0, k_max + 1, breakdown_tol)
+    return _assemble(store, beta0, *grown)
 
 
 def extend_lanczos(f, A, steps, breakdown_tol=1e-12):
     """Continue a factorization by the given number of steps.
 
     Extending is deterministic: the result matches a single longer run
-    entrywise, and f itself is left unchanged.  Raises AlreadyBrokenDown if
-    the process already terminated.
+    entrywise, and f itself is left unchanged.  Extending the newest value
+    on a store appends to it in place, reusing q_{k+1} where it lies in the
+    spare column; any other value is copied into a new store first.  Raises
+    AlreadyBrokenDown if the process already terminated.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -248,17 +285,17 @@ def extend_lanczos(f, A, steps, breakdown_tol=1e-12):
     store = f._store
     if store is None or store.filled != order:
         # f has no store or was extended before: branch into a copy
-        store = _ColumnStore(f.dim, min(f.dim, order + steps))
-        store.array[:, :order] = f.basis
-        store.filled = order
-    diag = f.tridiag.diag.tolist()
-    off = f.tridiag.offdiag.tolist()
+        store = _ColumnStore.copy_of(f, min(f.dim, order + steps))
     # re-enter the recurrence at the dangling (beta_next, q_next) step
-    row_max = _close_row(f._row_max, diag, off, f.beta_next)
-    off.append(f.beta_next)
-    store.append(f.next_vector)
-    grown = _grow(A, store, diag, off, row_max, order + steps, breakdown_tol)
-    return _assemble(store, diag, off, f.beta0, *grown)
+    delta = f.tridiag.diag[-1].item()
+    left = f.tridiag.offdiag[-1].item() if order > 1 else 0.0
+    row_max = _close_row(f._row_max, delta, left, f.beta_next)
+    store.off[order - 1] = f.beta_next
+    column = store.claim()
+    if not np.shares_memory(column, f.next_vector):  # not already the spare column
+        column[:] = f.next_vector
+    grown = _grow(A, store, row_max, f.beta_next, order + steps, breakdown_tol)
+    return _assemble(store, f.beta0, *grown)
 
 
 def _settled_extremes(A, watch_bottom):

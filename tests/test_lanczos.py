@@ -106,6 +106,89 @@ def test_basis_is_read_only():
             basis[0, 0] = 1.0
 
 
+def _exposed_arrays(f):
+    arrays = [f.basis, f.tridiag.diag, f.tridiag.offdiag]
+    return arrays if f.next_vector is None else arrays + [f.next_vector]
+
+
+def _snapshot(f):
+    return [a.tobytes() for a in _exposed_arrays(f)] + [f.beta_next]
+
+
+def test_extending_the_newest_value_reuses_its_memory():
+    rng = np.random.default_rng(13)
+    A = diag_op(rng.standard_normal(400))
+    f = lanczos_run(A, rng.standard_normal(400), 5, capacity=20)
+    store = f._store
+    # q_{k+1} waits in the store's spare column, and the extension claims it
+    # where it lies
+    assert np.shares_memory(f.next_vector, store.array)
+    grown = extend_lanczos(f, A, 1)
+    assert grown._store is store
+    assert np.shares_memory(f.next_vector, grown.basis[:, f.k + 1])
+    assert np.array_equal(f.next_vector, grown.basis[:, f.k + 1])
+    # T is a prefix view of the store's buffers, not a copy
+    for value in (f, grown):
+        assert np.shares_memory(value.tridiag.diag, store.diag)
+        assert np.shares_memory(value.tridiag.offdiag, store.off)
+    # without room for the spare, q_{k+1} is allocated rather than the store grown
+    full = lanczos_run(A, rng.standard_normal(400), 5)
+    assert full._store.array.shape[1] == 6
+    assert not np.shares_memory(full.next_vector, full._store.array)
+
+
+def test_older_values_stay_bitwise_unchanged():
+    rng = np.random.default_rng(19)
+    A = diag_op(rng.standard_normal(300))
+    g = rng.standard_normal(300)
+    values = [lanczos_run(A, g, 2, capacity=4)]
+    snapshots = [_snapshot(values[0])]
+    # one step at a time on one store, which doubles from 4 to 8 to 16 columns
+    for _ in range(10):
+        values.append(extend_lanczos(values[-1], A, 1))
+        snapshots.append(_snapshot(values[-1]))
+    assert values[-1]._store.array.shape[1] == 16
+    # a branch from an older value writes into a copy of its store
+    branch = extend_lanczos(values[4], A, 6)
+    assert branch._store is not values[4]._store
+    _assert_same_factorization(branch, values[-1])
+    values.append(extend_lanczos(values[-1], A, 30))
+    for value, snapshot in zip(values, snapshots):
+        assert _snapshot(value) == snapshot
+        _assert_same_factorization(value, lanczos_run(A, g, value.k))
+
+
+def test_exposed_arrays_are_read_only():
+    rng = np.random.default_rng(37)
+    A = diag_op(rng.standard_normal(200))
+    g = rng.standard_normal(200)
+    base = lanczos_run(A, g, 3, capacity=10)
+    newest = extend_lanczos(base, A, 2)
+    branch = extend_lanczos(base, A, 4)
+    full = lanczos_run(A, g, 3)
+    for f in (base, newest, branch, full, newest.trimmed()):
+        assert f.next_vector is not None
+        for array in _exposed_arrays(f):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
+def test_trimmed_shares_no_memory_with_the_store():
+    rng = np.random.default_rng(47)
+    A = diag_op(rng.standard_normal(500))
+    g = rng.standard_normal(500)
+    f = lanczos_run(A, g, 7, capacity=50)
+    store = f._store
+    trimmed = f.trimmed()
+    assert trimmed._store is None
+    for array in _exposed_arrays(trimmed):
+        for buffer in (store.array, store.diag, store.off):
+            assert not np.shares_memory(array, buffer)
+    _assert_same_factorization(trimmed, f)
+    assert trimmed.tridiag.inf_norm() == f.tridiag.inf_norm()
+    _assert_same_factorization(extend_lanczos(trimmed, A, 5), lanczos_run(A, g, 12))
+
+
 def test_extend_by_zero_is_identity():
     A = diag_op(np.arange(1.0, 9.0))
     g = np.ones(8)
@@ -295,8 +378,8 @@ def test_breakdown_scale_matches_row_loop():
         # the rows closed one off-diagonal at a time, as _grow closes them
         row_max = _NO_ROWS
         for i, edge in enumerate(off):
-            row_max = _close_row(row_max, diag[: i + 1], off[:i], edge)
-        return _close_row(row_max, diag, off, beta)
+            row_max = _close_row(row_max, diag[i], off[i - 1] if i else 0.0, edge)
+        return _close_row(row_max, diag[-1], off[-1] if off else 0.0, beta)
 
     rng = np.random.default_rng(17)
     cases = [([0.0], [], 0.0), ([-2.0], [], 1e-320), ([1.0, -3.0], [0.5], 2.0)]
@@ -326,7 +409,8 @@ def test_breakdown_scale_matches_row_loop():
     assert branched._row_max == fresh._row_max
     diag, off = fresh.tridiag.diag.tolist(), fresh.tridiag.offdiag.tolist()
     beta = branched.beta_next
-    assert _close_row(branched._row_max, diag, off, beta)[0] == row_loop(diag, off, beta)
+    closed = _close_row(branched._row_max, diag[-1], off[-1], beta)
+    assert closed[0] == row_loop(diag, off, beta)
     scratch = la.SymmetricTridiagonal(fresh.tridiag.diag, fresh.tridiag.offdiag)
     assert branched.tridiag.inf_norm() == fresh.tridiag.inf_norm() == scratch.inf_norm()
 
