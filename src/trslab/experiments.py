@@ -40,7 +40,7 @@ from .augmented import (
 from .gltr import check_budget, gltr_solve
 from .lanczos import estimate_extremal_eigenvalues, operator_norm_2
 from .lanczos import lanczos_run  # noqa: F401  not called here; perfbench/layers.py rebinds it
-from .linalg import SymmetricLinearOperator, ldl_back, ldl_forward, ldl_shifted, solve_shifted
+from .linalg import SymmetricLinearOperator, ldl_back, ldl_shifted_e1, solve_shifted
 from .mmio import read_matrix_market, read_vector
 from .trs import BOUNDARY, solve_trs_spectral
 
@@ -393,8 +393,7 @@ def run_experiment(
     # the LDL' factors of each leading block t_k + lam* I, and the forward
     # sweep of e1 through them, are prefixes of the final tridiagonal's, so
     # one factorization and one forward sweep serve every k
-    ref_d, ref_l = ldl_shifted(tridiag, ref.lambda_opt)
-    ref_y = ldl_forward(ref_l, [1.0] + [0.0] * (tridiag.order - 1))
+    ref_d, ref_l, ref_y = ldl_shifted_e1(tridiag, ref.lambda_opt, 1.0)
     for idx, rec in enumerate(records):
         k = rec.k
         h, s_k = run.iterates[idx]
@@ -408,7 +407,7 @@ def run_experiment(
         cols["resid"][idx] = rec.resid_explicit
         cols["resid_formula"][idx] = rec.resid_formula
 
-        x = ldl_back(ref_d[: k + 1], ref_l[:k], ref_y[: k + 1])
+        x = np.array(ldl_back(ref_d[: k + 1], ref_l[:k], ref_y[: k + 1])[0])
         ef = bnd.eta_factors(float(x @ x), ref.lambda_opt, beta0, delta, ref.alpha1)
         cols["cg_gap"][idx] = ref_moment - float(x[0])
         cols["cg_gap_bound"][idx] = bnd.cg_energy_bound(k, sd)

@@ -1,13 +1,16 @@
 """Dense and tridiagonal linear-algebra kernels.
 
-The tridiagonal kernels are the solver's own: LDL^T factorization of a
-shifted symmetric tridiagonal (ldl_shifted) and substitution from its
-factors (solve_ldl, or its sweeps ldl_forward and ldl_back), so that
-several right-hand sides share one factorization.  A leading block's factors
-and forward sweep are prefixes of the whole matrix's.  All run on Python
-floats, with one tolist() per input: at the orders of a projected Krylov
-problem, numpy's per-element and per-call costs would outweigh the
-arithmetic.  Eigenvalues go to LAPACK through numpy.linalg: the extremal
+The tridiagonal kernels are the solver's own: one LDL^T recurrence for a
+shifted symmetric tridiagonal that also sweeps a multiple of e1 forward
+(ldl_shifted_e1; ldl_shifted keeps only the factors), substitution from its
+factors (solve_ldl, or its sweeps ldl_forward and ldl_back, the back sweep
+also summing ||h||^2), and the quadratic form v'(L D L')^-1 v in one
+forward sweep (ldl_quadratic_form), so that several right-hand sides share
+one factorization.  A leading block's factors and forward sweep are
+prefixes of the whole matrix's.  All run on Python floats, with one
+tolist() per array input: at the orders of a projected Krylov problem,
+numpy's per-element and per-call costs would outweigh the arithmetic.
+Eigenvalues go to LAPACK through numpy.linalg: the extremal
 ones of a tridiagonal that the solver needs, and the dense symmetric
 eigenproblems of the oracle and the harness.
 Also here: a Householder orthonormal complement.
@@ -154,13 +157,15 @@ class SymmetricLinearOperator:
         return cls(dim, apply_fn)
 
 
-def ldl_shifted(T, lam):
-    """LDL^T factorization of T + lam*I without pivoting.
+def ldl_shifted_e1(T, lam, y0):
+    """LDL^T factorization of T + lam*I without pivoting, and in the same
+    sweep the solution y of L y = y0*e1.
 
-    Returns (d, l) as lists of Python floats: the positive pivots d and the
-    subdiagonal l of the unit-lower-bidiagonal L.  Raises IndefiniteShift at
-    the first nonpositive pivot, which signals lam <= -theta_min(T).  The
-    factors of a leading block of T are the prefixes d[:k], l[:k - 1].
+    Returns (d, l, y) as lists of Python floats: the positive pivots d, the
+    subdiagonal l of the unit-lower-bidiagonal L, and y.  Raises
+    IndefiniteShift at the first nonpositive pivot, which signals
+    lam <= -theta_min(T).  The factors and y of a leading block of T are
+    the prefixes d[:k], l[:k - 1], y[:k].
     """
     if not math.isfinite(lam):
         raise ValueError("shift must be finite")
@@ -169,8 +174,10 @@ def ldl_shifted(T, lam):
     prev = diag[0] + lam
     if prev <= 0.0:
         raise IndefiniteShift(0, prev)
+    y = float(y0)
     d = [prev]
     l = []
+    ys = [y]
     for a, b in zip(diag[1:], T.offdiag.tolist()):
         li = b / prev
         l.append(li)
@@ -178,6 +185,14 @@ def ldl_shifted(T, lam):
         if prev <= 0.0:
             raise IndefiniteShift(len(d), prev)
         d.append(prev)
+        y = 0.0 - li * y
+        ys.append(y)
+    return d, l, ys
+
+
+def ldl_shifted(T, lam):
+    """The factors (d, l) of ldl_shifted_e1, for callers with no e1 to sweep."""
+    d, l, _ = ldl_shifted_e1(T, lam, 0.0)
     return d, l
 
 
@@ -192,19 +207,38 @@ def ldl_forward(l, rhs):
 
 
 def ldl_back(d, l, y):
-    """Solve D L^T h = y, the back sweep after ldl_forward; returns h as an array."""
+    """Solve D L^T h = y, the back sweep after a forward one; returns h as a
+    list and ||h||^2, accumulated in the same sweep."""
     x = y[-1] / d[-1]
     h = [x]
-    for yi, di, li in zip(reversed(y[:-1]), reversed(d[:-1]), reversed(l)):
+    hh = x * x
+    for yi, di, li in zip(y[-2::-1], d[-2::-1], l[::-1]):
         x = yi / di - li * x
         h.append(x)
+        hh += x * x
     h.reverse()
-    return np.array(h)
+    return h, hh
+
+
+def ldl_quadratic_form(d, l, v):
+    """v^T (L D L^T)^-1 v for the factors (d, l) and v a list.
+
+    With L z = v this is z^T D^-1 z, a sum of positive terms taken in one
+    forward sweep (More and Sorensen 1983) rather than a full solve and a
+    dot product.
+    """
+    z = v[0]
+    acc = z * z / d[0]
+    for vi, li, di in zip(v[1:], l, d[1:]):
+        z = vi - li * z
+        acc += z * z / di
+    return acc
 
 
 def solve_ldl(d, l, rhs):
     """Solve L D L^T h = rhs given the factors (d, l) from ldl_shifted."""
-    return ldl_back(d, l, ldl_forward(l, np.asarray(rhs, dtype=float).tolist()))
+    h, _ = ldl_back(d, l, ldl_forward(l, np.asarray(rhs, dtype=float).tolist()))
+    return np.array(h)
 
 
 def solve_shifted(T, lam, rhs):

@@ -3,8 +3,11 @@
 Two routes are provided on purpose.  The production path solves the reduced
 tridiagonal problem (T + lam*I) h = -beta0*e1 with a bracketed Newton
 iteration on 1/||h(lam)|| - 1/delta, using LDL^T solves only at positive
-definite shifts.  Each lam is factored once: h and the Newton derivative
-(T + lam*I)^-1 h are both solved from those factors.  The first shift is
+definite shifts.  Each lam takes three sweeps over the order-m factors:
+one LDL' recurrence that also sweeps -beta0*e1 forward, a back sweep that
+gives h and ||h||^2, and one forward sweep L z = h that gives the Newton
+derivative h'(T + lam*I)^-1 h = z'D^-1 z (More and Sorensen 1983); h
+becomes an array once, when the solution is returned.  The first shift is
 the previous Krylov step's multiplier, where that step's factors, extended
 by T's new row, give the factorization in O(1); it alone decides whether
 theta_min(T) is needed: LAPACK (numpy.linalg.eigvalsh) is asked for it only
@@ -29,10 +32,9 @@ from .linalg import (
     SymmetricLinearOperator,
     extremal_eig_tridiagonal,
     ldl_back,
-    ldl_forward,
-    ldl_shifted,
+    ldl_quadratic_form,
+    ldl_shifted_e1,
     smallest_eig_dense,
-    solve_ldl,
     solve_shifted,
     symmetric_eig_dense,
 )
@@ -104,7 +106,6 @@ def solve_trs_tridiagonal(T, beta0, delta, lam_lower=None, factors=None):
         raise ValueError(f"beta0 must be positive and finite, got {beta0!r}")
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    rhs = [-beta0] + [0.0] * (T.order - 1)
     t_norm = T.inf_norm()
     # lam <= beta0/delta - theta_min <= beta0/delta + ||T||, with equality for
     # a negative 1 x 1 T: doubling keeps the root strictly inside
@@ -114,16 +115,17 @@ def solve_trs_tridiagonal(T, beta0, delta, lam_lower=None, factors=None):
     pinch = 1e-14 * (t_norm + beta0 / delta)
     start = lam_lower if lam_lower is not None and lam_lower > 0.0 else 0.0
     try:
-        fac = _factor(T, start, rhs, factors)
+        fac = _factor(T, start, beta0, factors)
     except IndefiniteShift:
-        fac = h = None
+        first = None
     else:
-        h = ldl_back(*fac[1:])
-        nh = float(np.linalg.norm(h))
+        h, hh = ldl_back(*fac[1:])
+        nh = math.sqrt(hh)
         if start == 0.0 and nh < delta:
-            return TrsSolution(0.0, h, INTERIOR, 1, factors=fac)
+            return TrsSolution(0.0, np.array(h), INTERIOR, 1, factors=fac)
+        first = fac, h, hh
         if nh >= delta * (1.0 - SECULAR_TOL):
-            return _secular_newton(T, rhs, delta, start, hi, start, pinch, h=h, fac=fac)
+            return _secular_newton(T, beta0, delta, start, hi, start, pinch, first=first)
 
     theta_min, _ = extremal_eig_tridiagonal(T)
     lam_floor = max(0.0, -theta_min)
@@ -132,6 +134,7 @@ def solve_trs_tridiagonal(T, beta0, delta, lam_lower=None, factors=None):
     # Probe just above the floor: if the solution norm is already inside the
     # radius there, no positive definite shift can reach the boundary.
     if lam_floor > 0.0:
+        rhs = [-beta0] + [0.0] * (T.order - 1)
         probe = lam_floor + 1e-14 * scale
         for _ in range(8):
             try:
@@ -150,27 +153,26 @@ def solve_trs_tridiagonal(T, beta0, delta, lam_lower=None, factors=None):
     # A positive definite start whose ||h|| fell short of delta lies above the
     # root, and Newton steps down from it; after an indefinite one, Newton
     # starts just above the floor.
-    if h is None:
+    if first is None:
         start = lam_floor + max(beta0 / delta - theta_min, 1.0) * 1e-3
         if not start < hi:
             start = lam_floor + 0.5 * (hi - lam_floor)
     return _secular_newton(
-        T, rhs, delta, lam_floor, hi, start, pinch, theta_min=theta_min, h=h, fac=fac,
+        T, beta0, delta, lam_floor, hi, start, pinch, theta_min=theta_min, first=first,
         iterations=iterations,
     )
 
 
-def _factor(T, lam, rhs, carried=None):
-    """(lam, d, l, y): the LDL' factors of T + lam*I and y solving L y = rhs.
+def _factor(T, lam, beta0, carried=None):
+    """(lam, d, l, y): the LDL' factors of T + lam*I and y solving L y = -beta0*e1.
 
     `carried`, the same for the leading block of order m - 1 taken at lam,
-    gains the last row by the arithmetic of ldl_shifted and ldl_forward
-    (bitwise the same factors); its pivots are positive, so by Sylvester's
-    law of inertia the new pivot alone decides definiteness.
+    gains the last row by the arithmetic of ldl_shifted_e1 (bitwise the same
+    factors); its pivots are positive, so by Sylvester's law of inertia the
+    new pivot alone decides definiteness.
     """
     if carried is None or carried[0] != lam or len(carried[1]) != T.order - 1:
-        d, l = ldl_shifted(T, lam)
-        return lam, d, l, ldl_forward(l, rhs)
+        return (lam, *ldl_shifted_e1(T, lam, -beta0))
     _, d, l, y = carried
     a, b = T.diag[-1].item(), T.offdiag[-1].item()
     li = b / d[-1]
@@ -181,31 +183,35 @@ def _factor(T, lam, rhs, carried=None):
 
 
 def _secular_newton(
-    T, rhs, delta, lo, hi, lam, pinch, theta_min=None, h=None, fac=None, iterations=1
+    T, beta0, delta, lo, hi, lam, pinch, theta_min=None, first=None, iterations=1
 ):
     """Safeguarded Newton on 1/||h(lam)|| - 1/delta inside the bracket [lo, hi].
 
-    `h` and `fac`, if given, are the solution and the _factor of T + lam*I at
-    the first iterate lam (counted in `iterations`).  Each lam is factored
-    once: h and the Newton derivative (T + lam I)^-1 h come from the same
-    factors.  Once the bracket is pinched (hi - lo <= pinch) the boundary
-    point between its ends is returned; if no evaluated lam had
-    ||h|| > delta, the case is near-hard.
+    `first`, if given, is (fac, h, ||h||^2) at the first iterate lam, fac its
+    _factor (counted in `iterations`).  Each lam is factored once, in the
+    sweep that also solves L y = -beta0*e1; a back sweep gives h and ||h||^2,
+    and one forward sweep L z = h gives the Newton derivative
+    h^T (T + lam I)^-1 h = z^T D^-1 z (More and Sorensen 1983).  h stays a
+    list until it is returned.  Once the bracket is pinched
+    (hi - lo <= pinch) the boundary point between its ends is returned; if
+    no evaluated lam had ||h|| > delta, the case is near-hard.
     """
     h_lo = h_hi = None  # solutions at the bracket ends, once evaluated
     for _ in range(SECULAR_MAX_ITER):
-        if h is None:
+        if first is None:
             iterations += 1
             try:
-                fac = _factor(T, lam, rhs)
+                fac = _factor(T, lam, beta0)
             except IndefiniteShift:
                 lo = max(lo, lam)
                 lam = lo + 0.5 * (hi - lo)
                 continue
-            h = ldl_back(*fac[1:])
-        nh = float(np.linalg.norm(h))
+            h, hh = ldl_back(*fac[1:])
+        else:
+            (fac, h, hh), first = first, None
+        nh = math.sqrt(hh)
         if abs(nh - delta) <= SECULAR_TOL * delta:
-            return TrsSolution(lam, h, BOUNDARY, iterations, factors=fac)
+            return TrsSolution(lam, np.array(h), BOUNDARY, iterations, factors=fac)
         if nh > delta:
             lo, h_lo = lam, h
         else:
@@ -214,9 +220,7 @@ def _secular_newton(
             if h_lo is None:
                 raise NearHardCase(delta - nh, theta_min=theta_min)
             return _boundary_between(lo, h_lo, hi, h_hi, delta, iterations)
-        w = solve_ldl(fac[1], fac[2], h)
-        hw = float(h @ w)
-        step = (nh - delta) / delta * (nh * nh / hw)
+        step = (nh - delta) / delta * (hh / ldl_quadratic_form(fac[1], fac[2], h))
         if abs(step) < 0.5 * pinch:
             # a step below the resolution of lam: take half a pinch, so that
             # the bracket can close around the root
@@ -225,7 +229,6 @@ def _secular_newton(
         if not (lo < lam_new < hi):
             lam_new = lo + 0.5 * (hi - lo)
         lam = lam_new
-        h = None
     raise NoConvergence(f"secular iteration budget ({SECULAR_MAX_ITER}) exhausted")
 
 
@@ -238,7 +241,8 @@ def _boundary_between(lo, h_lo, hi, h_hi, delta, iterations):
     lam = (1 - t) lo + t hi, the residual (T + lam I) h + beta0 e1 equals
     t (1 - t) (hi - lo) (h_lo - h_hi): the width of the pinched bracket.
     """
-    d = h_hi - h_lo
+    h_lo = np.array(h_lo)
+    d = np.array(h_hi) - h_lo
     a = float(d @ d)
     b = 2.0 * float(h_lo @ d)
     c = float(h_lo @ h_lo) - delta * delta

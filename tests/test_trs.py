@@ -192,7 +192,7 @@ def test_kkt_curvature_is_exact_for_a_known_spectrum(monkeypatch):
 )
 def test_invalid_scalars_rejected_before_factorizing(monkeypatch, beta0, delta, name):
     calls = []
-    for kernel in ("ldl_shifted", "solve_shifted", "extremal_eig_tridiagonal"):
+    for kernel in ("ldl_shifted_e1", "solve_shifted", "extremal_eig_tridiagonal"):
         monkeypatch.setattr(trs, kernel, lambda *args: calls.append(args))
     T = la.SymmetricTridiagonal([2.0, -1.0], [0.5])
     with pytest.raises(ValueError, match=name):
@@ -217,14 +217,14 @@ def test_warm_boundary_factors_once_per_multiplier(monkeypatch):
     # h and the Newton derivative (T + lam I)^-1 h share one factorization
     factored = []
 
-    def counting_ldl(T, lam):
+    def counting_ldl(T, lam, y0):
         factored.append(lam)
-        return la.ldl_shifted(T, lam)
+        return la.ldl_shifted_e1(T, lam, y0)
 
     def no_call(*args):
         raise AssertionError("a warm boundary solve needs no other kernel")
 
-    monkeypatch.setattr(trs, "ldl_shifted", counting_ldl)
+    monkeypatch.setattr(trs, "ldl_shifted_e1", counting_ldl)
     monkeypatch.setattr(trs, "solve_shifted", no_call)
     monkeypatch.setattr(trs, "extremal_eig_tridiagonal", no_call)
     rng = np.random.default_rng(41)

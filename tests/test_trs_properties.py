@@ -8,7 +8,8 @@ of T nearly orthogonal to e1 and the multiplier just above -theta_min).
 Both entries of solve_trs_tridiagonal are checked: the cold call, and the
 warm call that gltr_solve makes, with lam_lower the multiplier of the
 leading block of order m - 1; with that block's factors carried along, the
-warm call must give bitwise what it gives without them.
+warm call must give bitwise what it gives without them.  The one-sweep
+Newton derivative is checked against the full solve it replaced.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from trslab import trs
 from trslab.lanczos import lanczos_run
 
 PROPERTY_SETTINGS = settings(max_examples=300, derandomize=True, deadline=None)
+EPS = np.finfo(float).eps
 
 
 def spectrum(kind, m, rng):
@@ -129,6 +131,28 @@ def test_carried_factors_give_the_uncarried_solve_bitwise(instance):
         else:
             outcomes.append((sol.lam, sol.h.tobytes(), sol.case, sol.secular_iterations, sol.factors))
     assert outcomes[0] == outcomes[1]
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.floats(-12.0, 1.0))
+def test_one_sweep_derivative_matches_the_two_sweep_solve(instance, gap_exponent):
+    # h'(T + lam I)^-1 h as z'D^-1 z from one forward sweep L z = h, against
+    # the forward and back sweep and dot product it replaced, at the Newton
+    # h of a positive definite shift above -theta_min
+    T, beta0, _, _ = instance
+    theta_min = float(np.linalg.eigvalsh(T.to_dense())[0])
+    lam = max(0.0, -theta_min) + (1.0 + abs(theta_min)) * 10.0**gap_exponent
+    try:
+        d, l, y = la.ldl_shifted_e1(T, lam, -beta0)
+    except la.IndefiniteShift:
+        return  # a gap below the rounding of theta_min
+    h, hh = la.ldl_back(d, l, y)
+    reference = float(np.array(h) @ la.solve_ldl(d, l, h))
+    one_sweep = la.ldl_quadratic_form(d, l, h)
+    # fixed beforehand: a few roundings for each of the m terms
+    m = T.order
+    assert abs(one_sweep - reference) <= 4 * m * EPS * reference
+    assert abs(hh - float(np.dot(h, h))) <= 4 * m * EPS * hh
 
 
 @pytest.mark.parametrize("lam_lower", [None, 0.5])
