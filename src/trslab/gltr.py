@@ -21,8 +21,8 @@ BREAKDOWN = "breakdown"
 K_MAX = "k_max"
 
 
-class ZeroGradient(Exception):
-    pass
+class ZeroGradient(ValueError):
+    """The gradient is zero: invalid input, like a non-finite one."""
 
 
 @dataclass
@@ -99,7 +99,7 @@ def gltr_solve(
     only those written become resident.  The returned factorization holds
     only the columns it uses.  Raises ValueError, before any Lanczos work, if
     g has a non-finite entry, delta is not in (0, inf), or `check_budget`
-    rejects k_max or resid_tol.
+    rejects k_max or resid_tol, and ZeroGradient (a ValueError) if g = 0.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):

@@ -125,6 +125,35 @@ def test_ck_factor_reference_value():
     assert d1 == pytest.approx(d2, rel=1e-9)
 
 
+def test_y2_distance_bound_identities(sd_1a):
+    # epsilon2 scaled by 4 (alpha1 + lam) ||y1|| / (alpha1 - alpha_n)^2, and
+    # the terms of sin_subspace_bound beyond its constant 2, times t^2
+    spectra = [
+        sd_1a,
+        bd.spectrum_data(8.0, -2.0, 2.9850, 1.0, 1.0),
+        bd.spectrum_data(1.0, 0.5, 0.1, 1.0, 1.0),  # t near 0.15
+        bd.spectrum_data(1e3, -1.0, 1.001, 1.0, 1.0),  # kappa near 1e6, t near 0.998
+    ]
+    for sd in spectra:
+        spread = sd.alpha1 - sd.alpha_n
+        scale = 4.0 * (sd.alpha1 + sd.lambda_opt) / (spread * spread)
+        for y1_norm in (1e-3, 0.7, 25.0):
+            for k in (0, 1, 10, 60):
+                bound = bd.y2_distance_bound(k, sd, y1_norm)
+                assert bound > 0.0
+                via_epsilon2 = scale * y1_norm * bd.epsilon2_bound(k, sd)
+                via_ck = (bd.ck_factor(k, sd) - 2.0) * y1_norm * sd.t ** (k + 1)
+                assert bound == pytest.approx(via_epsilon2, rel=1e-12, abs=0.0)
+                assert bound == pytest.approx(via_ck, rel=1e-12, abs=0.0)
+    # t = 0: a single eigenvalue, or kappa = 1, leaves nothing to bound
+    assert bd.y2_distance_bound(5, bd.spectrum_data(3.0, 3.0, 0.5, 1.0, 1.0), 1.0) == 0.0
+    zero_t = bd.SpectrumData(2.0, -2.0, 2.2333, 1.0, 0.0, np.inf, 1.0, 1.0)
+    assert bd.y2_distance_bound(5, zero_t, 1.0) == 0.0
+    # alpha1 == alpha_n with t > 0 is inconsistent data
+    with pytest.raises(bd.DegenerateSpectrum):
+        bd.y2_distance_bound(3, bd.SpectrumData(1.0, 1.0, 0.5, 9.0, 0.5, 1.25, 1.0, 1.0), 1.0)
+
+
 def test_eta_factors_scalar_instance():
     T = la.SymmetricTridiagonal([1.0], [])
     x = la.solve_shifted(T, 1.0, [1.0])

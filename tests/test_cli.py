@@ -162,6 +162,30 @@ def test_solve_rejects_nonfinite_input_before_solving(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_zero_gradient_exit_code(tmp_path, capsys, command):
+    mtx = _write(
+        tmp_path,
+        "m3.mtx",
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 1.0\n2 2 2.0\n3 3 -1.0\n",
+    )
+    zeros = _write(tmp_path, "zeros.txt", "0.0\n0.0\n0.0\n")
+    out_dir = tmp_path / "out"
+    if command == "solve":
+        argv = ["solve", mtx, "--gradient", zeros, "--solution-out", str(out_dir / "s.txt")]
+    else:
+        params = {"path": mtx, "gradient_path": zeros}
+        spec = {"family": "file", "n": 3, "delta": 1.0, "seed": 0, "params": params}
+        argv = ["experiment", "--spec", _write(tmp_path, "spec.json", json.dumps(spec))]
+        argv += ["--out", str(out_dir)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: gradient must be nonzero\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_solve_writes_solution_and_verifies(one_by_one, tmp_path, capsys):
     mtx, grad = one_by_one
     out_path = tmp_path / "s.txt"
