@@ -27,9 +27,9 @@ the Gram-Schmidt passes is O(1).
 A step allocates no n-vector of its own: the recurrence and the
 Gram-Schmidt passes write through `out=` into a two-vector workspace that
 each store owns (a branch copy gets its own), and a step divides its
-residual straight into the store's next column (the spare, when it stops).  The operations and
-their order are those of the plain out-of-place expressions, so the results
-are bitwise the same.  Nothing is written into the array that A.apply
+residual straight into the store's next column (the spare, when it stops).
+The operations and their order are those of the plain out-of-place
+expressions, so the results are bitwise the same.  Nothing is written into the array that A.apply
 returns, which may be the operator's input or a buffer it reuses.
 
 The package's one estimator of extremal eigenvalues and operator 2-norms
@@ -49,6 +49,7 @@ import numpy as np
 from .linalg import SymmetricLinearOperator, SymmetricTridiagonal, extremal_eig_tridiagonal
 
 _NO_ROWS = (1e-300, 0.0)  # row maxima before any row closes; breakdown scale > 0
+_SQRT2 = math.sqrt(2.0)
 
 
 class ZeroStartVector(Exception):
@@ -166,17 +167,19 @@ def _reorthogonalize(qmat, r, work):
     ||r|| below ||r_before|| / sqrt(2): a pass that shrinks r less than that
     leaves it orthogonal to working precision (Kahan-Parlett "twice is
     enough"; Parlett, The Symmetric Eigenvalue Problem; Giraud, Langou and
-    Rozloznik 2005).  Returns (||r||, passes).
+    Rozloznik 2005).  Returns (||r||, passes).  Norms are sqrt(r'r),
+    numpy.linalg.norm's own formula for a real vector, without its per-call
+    overhead.
     """
-    before = float(np.linalg.norm(r))
+    before = math.sqrt(r @ r)
     np.matmul(qmat, qmat.T @ r, out=work)
     np.subtract(r, work, out=r)
-    beta = float(np.linalg.norm(r))
-    if beta >= before / np.sqrt(2.0):
+    beta = math.sqrt(r @ r)
+    if beta >= before / _SQRT2:
         return beta, 1
     np.matmul(qmat, qmat.T @ r, out=work)
     np.subtract(r, work, out=r)
-    return float(np.linalg.norm(r)), 2
+    return math.sqrt(r @ r), 2
 
 
 def _grow(A, store, row_max, left, order_target, breakdown_tol):
@@ -216,9 +219,11 @@ def _grow(A, store, row_max, left, order_target, breakdown_tol):
         if beta <= breakdown_tol * closed[0] or j >= n:
             q_next, broken = None, True
         elif j == order_target:
-            # with room left, q_next goes into the spare column
-            spare = j < store.array.shape[1]
-            q_next, broken = np.divide(r, beta, out=store.array[:, j]) if spare else r / beta, False
+            broken = False
+            if j < store.array.shape[1]:  # room left: q_next waits in the spare column
+                q_next = np.divide(r, beta, out=store.array[:, j])
+            else:
+                q_next = r / beta
         else:
             store.off[j - 1] = left = beta
             row_max = closed
@@ -229,9 +234,9 @@ def _grow(A, store, row_max, left, order_target, breakdown_tol):
 
 def _assemble(store, beta0, beta_next, q_next, broken, row_max, last):
     m = store.filled
-    tridiag = SymmetricTridiagonal(
-        _frozen(store.diag[:m]), _frozen(store.off[: m - 1]), max(row_max[1], last)
-    )  # beta_next is not in T
+    # T's inf-norm: row_max covers the closed rows; the last row's sum leaves out beta_next
+    inf_norm = max(row_max[1], last)
+    tridiag = SymmetricTridiagonal(_frozen(store.diag[:m]), _frozen(store.off[: m - 1]), inf_norm)
     return LanczosFactorization(
         basis=_frozen(store.array[:, :m]),
         tridiag=tridiag,

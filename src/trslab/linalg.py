@@ -191,7 +191,8 @@ def ldl_shifted_e1(T, lam, y0):
 
 
 def ldl_shifted(T, lam):
-    """The factors (d, l) of ldl_shifted_e1, for callers with no e1 to sweep."""
+    """The factors (d, l) of ldl_shifted_e1, for callers with no e1 to sweep;
+    raises IndefiniteShift as it does."""
     d, l, _ = ldl_shifted_e1(T, lam, 0.0)
     return d, l
 
