@@ -97,9 +97,10 @@ def gltr_solve(
 
     The Lanczos basis reserves min(n, k_max + 1) columns up front, of which
     only those written become resident.  The returned factorization holds
-    only the columns it uses.  Raises ValueError, before any Lanczos work, if
-    g has a non-finite entry, delta is not in (0, inf), or `check_budget`
-    rejects k_max or resid_tol, and ZeroGradient (a ValueError) if g = 0.
+    only the columns it uses, and not the run's step workspace.  Raises
+    ValueError, before any Lanczos work, if g has a non-finite entry, delta
+    is not in (0, inf), or `check_budget` rejects k_max or resid_tol, and
+    ZeroGradient (a ValueError) if g = 0.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):

@@ -137,6 +137,8 @@ def test_returned_basis_matches_fresh_run_bitwise(k_max, resid_tol):
     assert np.array_equal(res.factorization.basis, fresh.basis)
     assert np.array_equal(res.factorization.tridiag.diag, fresh.tridiag.diag)
     assert res.factorization.trimmed() is res.factorization
+    # a run that fills its reserved columns leaves no store behind either
+    assert res.factorization._store is None
 
 
 def test_objective_closed_form_one_by_one():

@@ -189,6 +189,56 @@ def test_trimmed_shares_no_memory_with_the_store():
     _assert_same_factorization(extend_lanczos(trimmed, A, 5), lanczos_run(A, g, 12))
 
 
+def test_one_step_extensions_match_fresh_runs_bitwise():
+    rng = np.random.default_rng(53)
+    A = diag_op(rng.standard_normal(300))
+    g = rng.standard_normal(300)
+
+    def step(f):
+        grown = extend_lanczos(f, A, 1)
+        fresh = lanczos_run(A, g, grown.k)
+        _assert_same_factorization(grown, fresh)
+        assert grown._row_max == fresh._row_max
+        assert grown.tridiag.inf_norm() == fresh.tridiag.inf_norm()
+        return grown
+
+    # the newest value with a spare column: q_{k+1} is claimed where it lies
+    values = [lanczos_run(A, g, 2, capacity=5)]
+    store = values[0]._store
+    for _ in range(2):
+        values.append(step(values[-1]))
+        assert values[-1]._store is store
+        assert np.shares_memory(values[-2].next_vector, values[-1].basis)
+    full = values[-1]
+    assert full.basis.shape[1] == store.array.shape[1] == 5
+    # the newest value on a full store: the store doubles
+    values.append(step(full))
+    assert values[-1]._store is store and store.array.shape[1] == 10
+    # an older value: a branch into a copy
+    branch = step(full)
+    assert branch._store is not store
+    # every value, before and after the doubling, is still read-only
+    for f in values + [branch]:
+        for array in _exposed_arrays(f):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+    # a trimmed value holds no store and extends from a copy
+    trimmed = values[-1].trimmed()
+    assert trimmed._store is None
+    assert step(trimmed)._store is not store
+    # trimming a value on a full store keeps its basis and T as views of the
+    # store, with no copy, but drops the store and its step workspace
+    full = lanczos_run(A, g, 6)
+    full_trimmed = full.trimmed()
+    assert full_trimmed._store is None
+    assert full_trimmed.basis is full.basis and full_trimmed.tridiag is full.tridiag
+    assert np.shares_memory(full_trimmed.basis, full._store.array)
+    snapshot = _snapshot(full_trimmed)
+    step(full_trimmed)
+    step(full)  # the store it shares its basis with doubles
+    assert _snapshot(full_trimmed) == snapshot
+
+
 def test_extend_by_zero_is_identity():
     A = diag_op(np.arange(1.0, 9.0))
     g = np.ones(8)
