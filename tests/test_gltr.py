@@ -137,7 +137,7 @@ def test_returned_basis_matches_fresh_run_bitwise(k_max, resid_tol):
     assert np.array_equal(res.factorization.basis, fresh.basis)
     assert np.array_equal(res.factorization.tridiag.diag, fresh.tridiag.diag)
     assert res.factorization.trimmed() is res.factorization
-    # a run that fills its reserved columns leaves no store behind either
+    # no store, so no step workspace, whether or not the run filled its columns
     assert res.factorization._store is None
 
 
