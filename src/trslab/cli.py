@@ -81,10 +81,7 @@ def _build_parser():
 def _cmd_solve(args):
     try:
         n, rows, cols, vals = read_matrix_market(args.matrix)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     A = SymmetricLinearOperator.from_triplets(n, rows, cols, vals)
@@ -179,18 +176,14 @@ def _cmd_experiment(args):
                 family=base.family, n=base.n, delta=base.delta, seed=base.seed, params=params
             )
             name = args.name
-    except (ex.InvalidSpec, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
         result = ex.run_experiment(
             spec,
             k_max=args.kmax,
             resid_tol=args.resid_tol,
             checkpoint_every=args.checkpoints,
         )
-    except ValueError as exc:
+    except (ValueError, ParseError, OSError) as exc:
+        # ValueError covers InvalidSpec, json.JSONDecodeError and a bad budget
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NearHardCase as exc:

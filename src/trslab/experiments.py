@@ -7,9 +7,11 @@ Gaussian matrix.  Families with a prescribed spectrum are built as diagonal
 operators: every measured and bounded quantity depends only on the spectrum
 and on the coefficients of the (rotation-invariant) random gradient in the
 eigenbasis.  An optional seeded orthogonal similarity is available for
-full-matrix runs at moderate sizes.  Family 4 is scaled to unit 2-norm by
-Lanczos estimates of its extremal eigenvalues, and its operator carries the
-scaled extremes to the reference solution.
+full-matrix runs at moderate sizes; its reflectors are the operator's maps
+to and from the eigenbasis, so the spectrum stays known.  Family 4 is scaled
+to unit 2-norm by Lanczos estimates of its extremal eigenvalues, and its
+operator is built with the scaled extremes.  The reference solution asks an
+operator only for its `spectrum` and `extremes`.
 
 The harness runs the solver with per-iteration verification, measures every
 error against an independently computed reference solution, evaluates the
@@ -40,7 +42,7 @@ from .augmented import (
 from .gltr import check_budget, gltr_solve
 from .lanczos import estimate_extremal_eigenvalues, operator_norm_2
 from .lanczos import lanczos_run  # noqa: F401  not called here; perfbench/layers.py rebinds it
-from .linalg import SymmetricLinearOperator, ldl_back, ldl_shifted_e1, solve_shifted
+from .linalg import Spectrum, SymmetricLinearOperator, ldl_back, ldl_shifted_e1, solve_shifted
 from .mmio import read_matrix_market, read_vector
 from .trs import BOUNDARY, solve_trs_spectral
 
@@ -65,7 +67,7 @@ CSV_COLUMNS = [
 ]
 
 
-class InvalidSpec(Exception):
+class InvalidSpec(ValueError):
     pass
 
 
@@ -103,6 +105,8 @@ class ProblemSpec:
         extra = set(data) - {"family", "n", "delta", "seed", "params"}
         if extra:
             raise InvalidSpec(f"unknown spec fields {sorted(extra)}")
+        if not {"family", "n"} <= set(data):
+            raise InvalidSpec("a spec needs the fields 'family' and 'n'")
         return cls(
             family=data["family"],
             n=int(data["n"]),
@@ -144,36 +148,31 @@ def _spectrum_strakos(n, alpha1, alpha_n, rho):
     return alpha_n + (i - 1.0) / (n - 1.0) * (alpha1 - alpha_n) * rho ** (n - i)
 
 
-class HouseholderSimilarityOperator(SymmetricLinearOperator):
-    """R D R^T with R a short product of seeded Householder reflectors.
+def _householder_similarity(d, reflectors):
+    """R D R' with R a short product of seeded Householder reflectors.
 
     Exact spectrum D with a dense-acting, non-diagonal representation; used
-    for full-fidelity variants of the diagonal families.
+    for full-fidelity variants of the diagonal families.  The reflector maps
+    are the operator's maps to and from its eigenbasis.
     """
+    units = [u / np.linalg.norm(u) for u in reflectors]
 
-    def __init__(self, d, reflectors):
-        self.eigenvalue_vector = np.asarray(d, dtype=float)
-        self.reflectors = [u / np.linalg.norm(u) for u in reflectors]
-        super().__init__(self.eigenvalue_vector.size, self._apply_similarity)
-
-    def _apply_r(self, v):
-        for u in reversed(self.reflectors):
+    def reflect(v, order):
+        for u in order:
             v = v - 2.0 * (u @ v) * u
         return v
 
-    def _apply_rt(self, v):
-        for u in self.reflectors:
-            v = v - 2.0 * (u @ v) * u
-        return v
+    def to_eigenbasis(v):  # R' v
+        return reflect(v, units)
 
-    def _apply_similarity(self, v):
-        return self._apply_r(self.eigenvalue_vector * self._apply_rt(v))
+    def from_eigenbasis(w):  # R w
+        return reflect(w, units[::-1])
 
-    def to_eigenbasis(self, v):
-        return self._apply_rt(v)
-
-    def from_eigenbasis(self, w):
-        return self._apply_r(w)
+    return SymmetricLinearOperator(
+        d.size,
+        lambda v: from_eigenbasis(d * to_eigenbasis(v)),
+        spectrum=Spectrum(d, to_eigenbasis, from_eigenbasis),
+    )
 
 
 def generate(spec):
@@ -211,10 +210,11 @@ def generate(spec):
         if params:
             raise InvalidSpec(f"unknown params {sorted(params)} for family 4")
         scale = max(abs(lo), abs(hi))
-        A = SymmetricLinearOperator.from_dense(dense / scale)
-        A.extremal_eigenvalues = (lo / scale, hi / scale)
+        A = SymmetricLinearOperator.from_dense(dense / scale, extremes=(lo / scale, hi / scale))
         return A, g
     elif spec.family == "file":
+        if similarity:
+            raise InvalidSpec("orthogonal_similarity does not apply to family 'file'")
         path = params.pop("path", None)
         if path is None:
             raise InvalidSpec("family 'file' requires params['path']")
@@ -241,8 +241,7 @@ def generate(spec):
     if similarity:
         if n > 2000:
             raise InvalidSpec("orthogonal_similarity is limited to n <= 2000")
-        reflectors = [rng.standard_normal(n) for _ in range(2)]
-        return HouseholderSimilarityOperator(d, reflectors), g
+        return _householder_similarity(d, [rng.standard_normal(n) for _ in range(2)]), g
     return SymmetricLinearOperator.from_diagonal(d), g
 
 
@@ -264,31 +263,28 @@ class ReferenceSolution:
 def reference_solution(A, g, delta):
     """High-accuracy reference (lambda_opt, s_opt, ...) for error measurement.
 
-    Operators with a known spectrum (diagonal, or with `eigenvalue_vector`)
-    get a direct secular solve and an exact ||M|| in the eigenbasis.  General
-    operators are solved by the Krylov driver at a tighter residual tolerance
-    than any measured run; y2 = (A + lam I)^-1 s_opt is Q (T + lam I)^-1 Q' s_opt
-    from the LDL' factors of that run's T, and ||M|| comes from the Lanczos
-    estimator on M'M.
+    Operators with a known `spectrum` get a direct secular solve and an exact
+    ||M|| in the eigenbasis.  Other operators are solved by the Krylov driver
+    at a tighter residual tolerance than any measured run; y2 = (A + lam I)^-1
+    s_opt is Q (T + lam I)^-1 Q' s_opt from the LDL' factors of that run's T,
+    ||M|| comes from the Lanczos estimator on M'M, and alpha_n, alpha1 are the
+    operator's `extremes`, or Lanczos estimates when it states none.
     """
     g = np.asarray(g, dtype=float)
     beta0 = float(np.linalg.norm(g))
+    alpha_n, alpha1 = A.extremes or estimate_extremal_eigenvalues(A)
 
-    if A.diagonal is not None or hasattr(A, "eigenvalue_vector"):
-        if A.diagonal is not None:
-            theta, c, back = A.diagonal, g, lambda w: w
-        else:
-            theta, c, back = A.eigenvalue_vector, A.to_eigenbasis(g), A.from_eigenbasis
+    if A.spectrum is not None:
+        theta, back = A.spectrum.values, A.spectrum.from_eigenbasis
+        c = A.spectrum.to_eigenbasis(g)
         lam, s_eig, _, _ = solve_trs_spectral(theta, c, delta, tol=REFERENCE_TOL)
         s_opt = back(s_eig)
         q_opt = float(c @ s_eig + 0.5 * np.sum(theta * s_eig * s_eig))
-        alpha1, alpha_n = float(theta.max()), float(theta.min())
         y2_raw = back(s_eig / (theta + lam))
         m_norm = m_norm_from_spectrum(theta, c, delta)
     else:
         run = gltr_solve(A, g, delta, resid_tol=REFERENCE_TOL, k_max=600)
         lam, s_opt, q_opt = run.lam, run.s, run.q
-        alpha_n, alpha1 = getattr(A, "extremal_eigenvalues", None) or estimate_extremal_eigenvalues(A)
         Q, T = run.factorization.basis, run.factorization.tridiag
         y2_raw = Q @ solve_shifted(T, lam, Q.T @ s_opt)
         m_norm = operator_norm_2(AugmentedOperator(A, g, delta))

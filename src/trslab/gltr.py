@@ -95,8 +95,9 @@ def gltr_solve(
     LDL' factors at that multiplier come along: T_{k+1} extends T_k by one
     row, so the solve at step k+1 factors only that row at its first shift.
 
-    The Lanczos basis reserves min(n, k_max + 1) columns up front, of which
-    only those written become resident.  The returned factorization holds
+    The Lanczos basis reserves min(n, k_max + 1) columns up front; pages
+    become resident as columns are written, give or take a 2 MiB huge page
+    on a store of 4 MiB or more.  The returned factorization holds
     only the columns it uses, and not the run's step workspace.  Raises
     ValueError, before any Lanczos work, if g has a non-finite entry, delta
     is not in (0, inf), or `check_budget` rejects k_max or resid_tol, and

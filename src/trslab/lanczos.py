@@ -266,7 +266,9 @@ def lanczos_run(A, g, k_max, breakdown_tol=1e-12, capacity=None):
     The first basis vector is g normalized, so Q_k^T g = beta0 * e_1.
     `capacity` is the number of basis columns to reserve, k_max + 1 by
     default (at most n); a caller that will extend the run passes the final
-    count it expects.  Only the columns written become resident memory.
+    count it expects.  Pages become resident as columns are written, but
+    numpy asks for transparent huge pages on arrays of 4 MiB or more, so a
+    large store may hold up to 2 MiB beyond its written columns.
     """
     g = np.asarray(g, dtype=float)
     beta0 = float(np.linalg.norm(g))

@@ -13,14 +13,17 @@ numpy's per-element and per-call costs would outweigh the arithmetic.
 Eigenvalues go to LAPACK through numpy.linalg: the extremal
 ones of a tridiagonal that the solver needs, and the dense symmetric
 eigenproblems of the oracle and the harness.
-Also here: a Householder orthonormal complement.
-Operator 2-norms and extremal eigenvalues of operators are estimated by
-Lanczos in the lanczos module.
+Also here: a Householder orthonormal complement, and the symmetric operator
+type, which states when it is built what is known of its spectrum: the
+eigenvalues with the maps to and from the eigenbasis (a Spectrum), or only
+its extremes.  What an operator does not state is estimated by Lanczos in
+the lanczos module, as are operator 2-norms.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,21 +104,44 @@ class SymmetricTridiagonal:
         return SymmetricTridiagonal(self.diag[:order], self.offdiag[: order - 1])
 
 
+def _identity(v):
+    return v
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigenvalues of a symmetric operator A = V diag(values) V', with the maps
+    v -> V'v into its eigenbasis and w -> V w back (the identity for a
+    diagonal A)."""
+
+    values: np.ndarray
+    to_eigenbasis: Callable = _identity
+    from_eigenbasis: Callable = _identity
+
+
 class SymmetricLinearOperator:
     """Symmetric operator given by matrix-vector products.
 
-    Concrete storage (a diagonal vector or a dense array) is optional and
-    kept around so callers can take cheap exact shortcuts when the structure
-    allows it.
+    What the operator knows about its spectrum is stated when it is built:
+    `spectrum` (a Spectrum, or None) and `extremes` (theta_min, theta_max),
+    which a spectrum fixes and an operator without one may still be given.
+    The storage it was built from (`diagonal`, `dense`) stays readable but
+    says nothing about what is known.
     """
 
-    def __init__(self, dim, apply_fn, diagonal=None, dense=None):
+    def __init__(self, dim, apply_fn, diagonal=None, dense=None, spectrum=None, extremes=None):
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
         self._apply = apply_fn
         self.diagonal = None if diagonal is None else np.asarray(diagonal, dtype=float)
         self.dense = None if dense is None else np.asarray(dense, dtype=float)
+        self.spectrum = spectrum
+        if spectrum is not None:
+            if extremes is not None:
+                raise ValueError("a spectrum fixes its extremes; give one or the other")
+            extremes = (float(spectrum.values.min()), float(spectrum.values.max()))
+        self.extremes = extremes
 
     @property
     def shape(self):
@@ -131,15 +157,15 @@ class SymmetricLinearOperator:
     @classmethod
     def from_diagonal(cls, d):
         d = np.asarray(d, dtype=float)
-        return cls(d.size, lambda v: d * v, diagonal=d)
+        return cls(d.size, lambda v: d * v, diagonal=d, spectrum=Spectrum(d))
 
     @classmethod
-    def from_dense(cls, a):
+    def from_dense(cls, a, extremes=None):
         a = np.asarray(a, dtype=float)
         scale = max(1.0, float(np.abs(a).max()))
         if np.abs(a - a.T).max() > SYM_TOL * scale:
             raise ValueError("matrix is not symmetric")
-        return cls(a.shape[0], lambda v: a @ v, dense=a)
+        return cls(a.shape[0], lambda v: a @ v, dense=a, extremes=extremes)
 
     @classmethod
     def from_triplets(cls, dim, rows, cols, values):

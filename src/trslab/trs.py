@@ -29,15 +29,15 @@ import numpy as np
 from .linalg import (
     IndefiniteShift,
     NoConvergence,
-    SymmetricLinearOperator,
     extremal_eig_tridiagonal,
     ldl_back,
     ldl_quadratic_form,
     ldl_shifted_e1,
-    smallest_eig_dense,
     solve_shifted,
     symmetric_eig_dense,
 )
+# not called here; perfbench/layers.py rebinds it
+from .linalg import smallest_eig_dense  # noqa: F401
 from .lanczos import estimate_extremal_eigenvalues
 
 BOUNDARY = "boundary"
@@ -63,7 +63,7 @@ class KktReport:
     feasibility_gap: float  # delta - ||s||
     stationarity: float  # ||(A + lam I)s + g||
     complementarity: float  # lam * (delta - ||s||)
-    curvature_margin: float  # theta_min(A) + lam (estimated)
+    curvature_margin: float  # theta_min(A) + lam (A.extremes, else estimated)
     passed: bool
 
 
@@ -333,40 +333,20 @@ def solve_trs_dense(A, g, delta, tol=1e-13):
     return TrsSolution(lam, s, case, iterations)
 
 
-def _theta_min_estimate(apply_a, n, operator=None):
-    """Smallest-eigenvalue estimate for the curvature margin of the KKT check."""
-    for name in ("diagonal", "eigenvalue_vector"):
-        spectrum = getattr(operator, name, None)
-        if spectrum is not None:
-            return float(np.min(spectrum))
-    dense = getattr(operator, "dense", None)
-    if dense is not None and dense.shape[0] <= 600:
-        return smallest_eig_dense(dense)
-    lo, _ = estimate_extremal_eigenvalues(SymmetricLinearOperator(n, apply_a))
-    return lo
-
-
-def check_kkt(apply_a, g, delta, lam, s, tol=1e-10):
+def check_kkt(A, g, delta, lam, s, tol=1e-10):
     """Evaluate the four optimality residuals of a candidate (lam, s).
 
-    The curvature margin theta_min(A) + lam uses the exact spectrum when the
-    operator carries one and a Krylov estimate otherwise.  `apply_a` may be a
-    bare callable or an operator object.
+    The curvature margin theta_min(A) + lam reads theta_min from the
+    operator's `extremes` when it states them, and from a Krylov estimate
+    otherwise.
     """
-    operator = None
-    if hasattr(apply_a, "apply"):
-        operator = apply_a
-        apply_fn = apply_a.apply
-    else:
-        apply_fn = apply_a
     g = np.asarray(g, dtype=float)
     s = np.asarray(s, dtype=float)
-    n = g.size
     ns = float(np.linalg.norm(s))
     feasibility = delta - ns
-    stationarity = float(np.linalg.norm(apply_fn(s) + lam * s + g))
+    stationarity = float(np.linalg.norm(A.apply(s) + lam * s + g))
     complementarity = lam * feasibility
-    theta_min = _theta_min_estimate(apply_fn, n, operator=operator)
+    theta_min = (A.extremes or estimate_extremal_eigenvalues(A))[0]
     margin = theta_min + lam
     scale = float(np.linalg.norm(g)) + abs(lam) * delta + 1.0
     passed = (

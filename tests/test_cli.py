@@ -186,6 +186,41 @@ def test_zero_gradient_exit_code(tmp_path, capsys, command):
     assert not out_dir.exists()
 
 
+def _spec_argv(tmp_path, family, params):
+    spec = {"family": family, "n": 50, "delta": 1.0, "seed": 0, "params": params}
+    return ["--spec", _write(tmp_path, "spec.json", json.dumps(spec))]
+
+
+@pytest.mark.parametrize(
+    "which",
+    [
+        lambda tmp: ["4", "--orthogonal-similarity"],
+        lambda tmp: ["1a", "--orthogonal-similarity", "--n", "4000"],
+        lambda tmp: _spec_argv(tmp, "2", {"nonsense": 1}),
+        lambda tmp: _spec_argv(tmp, "3", {"rho": 1.5}),
+        lambda tmp: _spec_argv(tmp, "file", {"path": str(tmp / "missing.mtx")}),
+        lambda tmp: _spec_argv(tmp, "file", {"path": _write(tmp, "g.txt", "1.0\n")}),
+    ],
+    ids=[
+        "family-4-similarity",
+        "similarity-too-large",
+        "unknown-param",
+        "rho",
+        "missing-file",
+        "not-matrix-market",
+    ],
+)
+def test_experiment_invalid_instance_exit_code(tmp_path, capsys, which):
+    # errors that only generate finds, once the spec itself has parsed
+    out_dir = tmp_path / "out"
+    code = main(["experiment"] + which(tmp_path) + ["--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_solve_writes_solution_and_verifies(one_by_one, tmp_path, capsys):
     mtx, grad = one_by_one
     out_path = tmp_path / "s.txt"

@@ -20,6 +20,8 @@ def test_spec_json_roundtrip(tmp_path):
     with pytest.raises(ex.InvalidSpec):
         ex.ProblemSpec.from_json('{"family": "3", "n": 10, "bogus": 1}')
     with pytest.raises(ex.InvalidSpec):
+        ex.ProblemSpec.from_json('{"n": 10}')
+    with pytest.raises(ex.InvalidSpec):
         ex.ProblemSpec(family="9z", n=100)
     with pytest.raises(ex.InvalidSpec):
         ex.ProblemSpec(family="2", n=100, delta=-1.0)
@@ -90,19 +92,24 @@ def test_random_symmetric_family_is_unit_norm():
     A, g = ex.generate(spec)
     vals = np.linalg.eigvalsh(A.dense)
     assert max(abs(vals[0]), abs(vals[-1])) == pytest.approx(1.0, abs=1e-9)
-    # the scaled extremes the operator carries to reference_solution
-    np.testing.assert_allclose(A.extremal_eigenvalues, (vals[0], vals[-1]), rtol=0, atol=1e-13)
+    # the scaled extremes the operator is built with
+    np.testing.assert_allclose(A.extremes, (vals[0], vals[-1]), rtol=0, atol=1e-13)
     dense = A.dense
     assert np.abs(dense - dense.T).max() == 0.0
 
 
-def test_generate_rejects_bad_params():
+def test_generate_rejects_bad_params(tmp_path):
     with pytest.raises(ex.InvalidSpec):
         ex.generate(ex.ProblemSpec(family="3", n=100, params={"rho": 1.5}))
     with pytest.raises(ex.InvalidSpec):
         ex.generate(ex.ProblemSpec(family="2", n=100, params={"nonsense": 1}))
     with pytest.raises(ex.InvalidSpec):
         ex.generate(ex.ProblemSpec(family="1a", n=4000, params={"orthogonal_similarity": True}))
+    mtx = tmp_path / "m.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n2 2 -1.0\n")
+    params = {"path": str(mtx), "orthogonal_similarity": True}
+    with pytest.raises(ex.InvalidSpec):
+        ex.generate(ex.ProblemSpec("file", 2, params=params))
 
 
 def test_orthogonal_similarity_preserves_measurements():

@@ -265,3 +265,18 @@ def test_orthonormal_complement_properties():
     with pytest.raises(la.ZeroVector):
         la.orthonormal_complement(np.zeros(3))
 
+
+
+def test_operator_states_what_it_knows_of_its_spectrum():
+    d = np.array([3.0, -1.0, 2.0])
+    A = la.SymmetricLinearOperator.from_diagonal(d)
+    assert A.extremes == (-1.0, 3.0)
+    w = np.array([1.0, 2.0, 3.0])
+    assert A.spectrum.to_eigenbasis(w) is w and A.spectrum.from_eigenbasis(w) is w
+    # extremes without a spectrum, or neither
+    B = la.SymmetricLinearOperator.from_dense(np.diag(d), extremes=(-1.0, 3.0))
+    assert B.spectrum is None and B.extremes == (-1.0, 3.0)
+    assert la.SymmetricLinearOperator.from_dense(np.diag(d)).extremes is None
+    # a spectrum fixes its extremes
+    with pytest.raises(ValueError, match="spectrum fixes"):
+        la.SymmetricLinearOperator(3, lambda v: d * v, spectrum=la.Spectrum(d), extremes=(0, 1))

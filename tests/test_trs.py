@@ -3,7 +3,8 @@ import pytest
 
 from trslab import linalg as la
 from trslab import trs
-from trslab.experiments import HouseholderSimilarityOperator, reference_solution
+from trslab.experiments import ProblemSpec, generate, reference_solution
+from trslab.gltr import gltr_solve
 from trslab.lanczos import lanczos_run
 from trslab.verify import random_secular_instance
 
@@ -134,8 +135,9 @@ def test_kkt_exact_solution():
     assert rep.stationarity <= 1e-12
     assert abs(rep.complementarity) <= 1e-12
     assert rep.curvature_margin >= -1e-12
-    # a bare callable carries no spectrum: theta_min comes from the Krylov estimate
-    rep = trs.check_kkt(lambda v: 2.0 * v, np.array([4.0]), 1.0, 2.0, np.array([-1.0]))
+    # an operator that states no extremes: theta_min comes from the Krylov estimate
+    A = la.SymmetricLinearOperator(1, lambda v: 2.0 * v)
+    rep = trs.check_kkt(A, np.array([4.0]), 1.0, 2.0, np.array([-1.0]))
     assert rep.passed
     assert rep.curvature_margin == pytest.approx(4.0, abs=1e-12)
 
@@ -161,20 +163,32 @@ def test_kkt_curvature_margin_sign():
 
 
 def test_kkt_curvature_is_exact_for_a_known_spectrum(monkeypatch):
-    # an operator with eigenvalue_vector needs no Krylov estimate of theta_min
+    # an operator with a known spectrum needs no Krylov estimate of theta_min
     def no_estimate(A):
         raise AssertionError("the spectrum is known")
 
     monkeypatch.setattr(trs, "estimate_extremal_eigenvalues", no_estimate)
-    rng = np.random.default_rng(3)
-    d = np.linspace(-2.0, 2.0, 400)
-    A = HouseholderSimilarityOperator(d, [rng.standard_normal(400) for _ in range(2)])
-    g = rng.standard_normal(400)
-    g /= np.linalg.norm(g)
+    A, g = generate(ProblemSpec("1a", 400, 1.0, 3, {"orthogonal_similarity": True}))
+    assert A.diagonal is None
     ref = reference_solution(A, g, 1.0)
     rep = trs.check_kkt(A, g, 1.0, ref.lambda_opt, ref.s_opt)
     assert rep.passed
     assert rep.curvature_margin == -2.0 + ref.lambda_opt
+
+
+def test_kkt_curvature_reads_stated_extremes(monkeypatch):
+    # family 4 states the extremes it was scaled by; above the order at which
+    # a dense eigvalsh once stood in, check_kkt still runs no Krylov estimate
+    def no_estimate(A):
+        raise AssertionError("the extremes are stated")
+
+    monkeypatch.setattr(trs, "estimate_extremal_eigenvalues", no_estimate)
+    A, g = generate(ProblemSpec("4", 700, 1.0, 5))
+    result = gltr_solve(A, g, 1.0)
+    rep = trs.check_kkt(A, g, 1.0, result.lam, result.s)
+    assert rep.passed
+    assert A.spectrum is None
+    assert rep.curvature_margin == A.extremes[0] + result.lam
 
 
 @pytest.mark.parametrize(
