@@ -102,18 +102,20 @@ class ProblemSpec:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise InvalidSpec("a spec must be a JSON object")
         extra = set(data) - {"family", "n", "delta", "seed", "params"}
         if extra:
             raise InvalidSpec(f"unknown spec fields {sorted(extra)}")
         if not {"family", "n"} <= set(data):
             raise InvalidSpec("a spec needs the fields 'family' and 'n'")
-        return cls(
-            family=data["family"],
-            n=int(data["n"]),
-            delta=float(data.get("delta", 1.0)),
-            seed=int(data.get("seed", 0)),
-            params=dict(data.get("params", {})),
-        )
+        data = {"delta": 1.0, "seed": 0, "params": {}, **data}
+        kinds = (("n", int, "an integer"), ("seed", int, "an integer"),
+                 ("delta", (int, float), "a number"), ("params", dict, "an object"))
+        for name, kind, what in kinds:
+            if not isinstance(data[name], kind) or isinstance(data[name], bool):
+                raise InvalidSpec(f"spec field {name!r} must be {what}, got {data[name]!r}")
+        return cls(data["family"], data["n"], float(data["delta"]), data["seed"], data["params"])
 
 
 def default_spec(name, n=None, seed=0, delta=1.0):

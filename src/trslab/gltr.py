@@ -82,7 +82,6 @@ def gltr_solve(
     delta,
     resid_tol=1e-13,
     k_max=300,
-    breakdown_tol=1e-12,
     verify_residuals=False,
     keep_iterates=False,
 ):
@@ -113,7 +112,7 @@ def gltr_solve(
     if beta0 == 0.0:
         raise ZeroGradient("gradient must be nonzero")
 
-    fact = lanczos_run(A, g, 0, breakdown_tol=breakdown_tol, capacity=k_max + 1)
+    fact = lanczos_run(A, g, 0, capacity=k_max + 1)
     history: list[ConvergenceRecord] = []
     iterates = [] if keep_iterates else None
     warm = factors = s = None
@@ -155,7 +154,7 @@ def gltr_solve(
         if k == k_max:
             termination = K_MAX
             break
-        fact = extend_lanczos(fact, A, 1, breakdown_tol=breakdown_tol)
+        fact = extend_lanczos(fact, A, 1)
 
     if s is None:
         s = fact.basis @ h

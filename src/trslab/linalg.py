@@ -1,15 +1,16 @@
 """Dense and tridiagonal linear-algebra kernels.
 
-The tridiagonal kernels are the solver's own: one LDL^T recurrence for a
-shifted symmetric tridiagonal that also sweeps a multiple of e1 forward
-(ldl_shifted_e1; ldl_shifted keeps only the factors), substitution from its
-factors (solve_ldl, or its sweeps ldl_forward and ldl_back, the back sweep
-also summing ||h||^2), and the quadratic form v'(L D L')^-1 v in one
-forward sweep (ldl_quadratic_form), so that several right-hand sides share
-one factorization.  A leading block's factors and forward sweep are
-prefixes of the whole matrix's.  All run on Python floats, with one
-tolist() per array input: at the orders of a projected Krylov problem,
-numpy's per-element and per-call costs would outweigh the arithmetic.
+The tridiagonal kernels are the solver's own, four LDL^T functions: one
+recurrence for a shifted symmetric tridiagonal that also sweeps a multiple
+of e1 forward (ldl_shifted_e1), the back sweep from its factors, which also
+sums ||h||^2 (ldl_back), the quadratic form v'(L D L')^-1 v in one forward
+sweep (ldl_quadratic_form), and a solve for a general right-hand side from
+those factors (solve_shifted).  The secular Newton iteration uses the first
+three, so h and its derivative share one factorization.  A leading block's
+factors and forward sweep are prefixes of the whole matrix's.  All run on
+Python floats, with one tolist() per array input: at the orders of a
+projected Krylov problem, numpy's per-element and per-call costs would
+outweigh the arithmetic.
 Eigenvalues go to LAPACK through numpy.linalg: the extremal
 ones of a tridiagonal that the solver needs, and the dense symmetric
 eigenproblems of the oracle and the harness.
@@ -216,23 +217,6 @@ def ldl_shifted_e1(T, lam, y0):
     return d, l, ys
 
 
-def ldl_shifted(T, lam):
-    """The factors (d, l) of ldl_shifted_e1, for callers with no e1 to sweep;
-    raises IndefiniteShift as it does."""
-    d, l, _ = ldl_shifted_e1(T, lam, 0.0)
-    return d, l
-
-
-def ldl_forward(l, rhs):
-    """Solve L y = rhs, for the L of ldl_shifted and rhs a list; returns a list."""
-    y = rhs[0]
-    ys = [y]
-    for bi, li in zip(rhs[1:], l):
-        y = bi - li * y
-        ys.append(y)
-    return ys
-
-
 def ldl_back(d, l, y):
     """Solve D L^T h = y, the back sweep after a forward one; returns h as a
     list and ||h||^2, accumulated in the same sweep."""
@@ -262,15 +246,18 @@ def ldl_quadratic_form(d, l, v):
     return acc
 
 
-def solve_ldl(d, l, rhs):
-    """Solve L D L^T h = rhs given the factors (d, l) from ldl_shifted."""
-    h, _ = ldl_back(d, l, ldl_forward(l, np.asarray(rhs, dtype=float).tolist()))
-    return np.array(h)
-
-
 def solve_shifted(T, lam, rhs):
-    """Solve (T + lam*I) h = rhs via LDL^T; requires a positive definite shift."""
-    return solve_ldl(*ldl_shifted(T, lam), rhs)
+    """Solve (T + lam*I) h = rhs, rhs a sequence, by the factors of
+    ldl_shifted_e1, a forward sweep L y = rhs and ldl_back; returns h as an
+    array and raises IndefiniteShift unless the shift is positive definite."""
+    d, l, _ = ldl_shifted_e1(T, lam, 0.0)
+    rhs = np.asarray(rhs, dtype=float).tolist()
+    y = rhs[0]
+    ys = [y]
+    for bi, li in zip(rhs[1:], l):
+        y = bi - li * y
+        ys.append(y)
+    return np.array(ldl_back(d, l, ys)[0])
 
 
 def extremal_eig_tridiagonal(T):

@@ -11,12 +11,12 @@ becomes an array once, when the solution is returned.  The first shift is
 the previous Krylov step's multiplier, where that step's factors, extended
 by T's new row, give the factorization in O(1); it alone decides whether
 theta_min(T) is needed: LAPACK (numpy.linalg.eigvalsh) is asked for it only
-when that shift is indefinite or falls short of the boundary.  lam and h
-come from the LDL' Newton iteration.  The oracle path eigendecomposes a
-small dense matrix with LAPACK (numpy.linalg.eigh) and solves the explicit
-secular function in the eigenbasis; it is the brute-force reference in
-every equivalence test and shares neither the LDL' kernels nor the secular
-iteration with the production path.
+when that shift is indefinite or falls short of the boundary.  A near-hard
+probe then factors like a Newton iterate, in at most two tries.  The oracle
+path eigendecomposes a small dense matrix with LAPACK (numpy.linalg.eigh)
+and solves the explicit secular function in the eigenbasis; it is the
+brute-force reference in every equivalence test and shares neither the
+LDL' kernels nor the secular iteration with the production path.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from .linalg import (
     ldl_back,
     ldl_quadratic_form,
     ldl_shifted_e1,
-    solve_shifted,
     symmetric_eig_dense,
 )
-# not called here; perfbench/layers.py rebinds it
-from .linalg import smallest_eig_dense  # noqa: F401
+# not called here; perfbench/layers.py rebinds them
+from .linalg import smallest_eig_dense, solve_shifted  # noqa: F401
 from .lanczos import estimate_extremal_eigenvalues
 
 BOUNDARY = "boundary"
@@ -90,7 +89,8 @@ def solve_trs_tridiagonal(T, beta0, delta, lam_lower=None, factors=None):
     start, or a positive start whose ||h|| falls short of delta (a lower
     bound that rounding pushed above the root), asks LAPACK for
     theta_min(T): a near-hard probe just above max(0, -theta_min) follows,
-    then Newton.
+    factored and swept as a Newton iterate is (at most two tries, the
+    second ten times as far up), then Newton.
 
     `factors` may carry the `factors` of the solution for the leading block
     of order m - 1 of T with the same beta0; taken at start, they leave the
@@ -132,23 +132,22 @@ def solve_trs_tridiagonal(T, beta0, delta, lam_lower=None, factors=None):
     scale = 1.0 + abs(theta_min)
     iterations = 1
     # Probe just above the floor: if the solution norm is already inside the
-    # radius there, no positive definite shift can reach the boundary.
+    # radius there, no positive definite shift can reach the boundary.  When
+    # rounding in theta_min leaves the first try indefinite, a second goes ten
+    # times as far up; a probe further up is no longer near the floor.
     if lam_floor > 0.0:
-        rhs = [-beta0] + [0.0] * (T.order - 1)
         probe = lam_floor + 1e-14 * scale
-        for _ in range(8):
+        for _ in range(2):
             try:
-                hp = solve_shifted(T, probe, rhs)
-                iterations += 1
-                break
+                fac = _factor(T, probe, beta0)
             except IndefiniteShift:
                 probe = lam_floor + 10.0 * (probe - lam_floor)
-        else:
-            hp = None
-        if hp is not None and probe - lam_floor <= 1e-13 * scale:
-            np_norm = float(np.linalg.norm(hp))
-            if np_norm < delta * (1.0 - SECULAR_TOL):
-                raise NearHardCase(delta - np_norm, theta_min=theta_min)
+                continue
+            iterations += 1
+            nh = math.sqrt(ldl_back(*fac[1:])[1])
+            if probe - lam_floor <= 1e-13 * scale and nh < delta * (1.0 - SECULAR_TOL):
+                raise NearHardCase(delta - nh, theta_min=theta_min)
+            break
 
     # A positive definite start whose ||h|| fell short of delta lies above the
     # root, and Newton steps down from it; after an indefinite one, Newton

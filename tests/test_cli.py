@@ -186,8 +186,8 @@ def test_zero_gradient_exit_code(tmp_path, capsys, command):
     assert not out_dir.exists()
 
 
-def _spec_argv(tmp_path, family, params):
-    spec = {"family": family, "n": 50, "delta": 1.0, "seed": 0, "params": params}
+def _spec_argv(tmp_path, family="2", params=None, **fields):
+    spec = {"family": family, "n": 50, "delta": 1.0, "seed": 0, "params": params or {}, **fields}
     return ["--spec", _write(tmp_path, "spec.json", json.dumps(spec))]
 
 
@@ -200,6 +200,14 @@ def _spec_argv(tmp_path, family, params):
         lambda tmp: _spec_argv(tmp, "3", {"rho": 1.5}),
         lambda tmp: _spec_argv(tmp, "file", {"path": str(tmp / "missing.mtx")}),
         lambda tmp: _spec_argv(tmp, "file", {"path": _write(tmp, "g.txt", "1.0\n")}),
+        lambda tmp: ["--spec", _write(tmp, "spec.json", "5")],
+        lambda tmp: ["--spec", _write(tmp, "spec.json", "null")],
+        lambda tmp: _spec_argv(tmp, n=None),
+        lambda tmp: _spec_argv(tmp, n="50"),
+        lambda tmp: _spec_argv(tmp, n=50.9),
+        lambda tmp: _spec_argv(tmp, seed=None),
+        lambda tmp: _spec_argv(tmp, delta=None),
+        lambda tmp: _spec_argv(tmp, params=[1]),
     ],
     ids=[
         "family-4-similarity",
@@ -208,10 +216,19 @@ def _spec_argv(tmp_path, family, params):
         "rho",
         "missing-file",
         "not-matrix-market",
+        "top-level-number",
+        "top-level-null",
+        "n-null",
+        "n-string",
+        "n-fraction",
+        "seed-null",
+        "delta-null",
+        "params-list",
     ],
 )
 def test_experiment_invalid_instance_exit_code(tmp_path, capsys, which):
-    # errors that only generate finds, once the spec itself has parsed
+    # errors in the spec's fields, and those that only generate finds once
+    # the spec itself has parsed
     out_dir = tmp_path / "out"
     code = main(["experiment"] + which(tmp_path) + ["--out", str(out_dir)])
     captured = capsys.readouterr()

@@ -21,6 +21,23 @@ def test_spec_json_roundtrip(tmp_path):
         ex.ProblemSpec.from_json('{"family": "3", "n": 10, "bogus": 1}')
     with pytest.raises(ex.InvalidSpec):
         ex.ProblemSpec.from_json('{"n": 10}')
+    # the top level must be an object, n and seed JSON integers, delta a JSON
+    # number and params an object
+    for text in (
+        "5",
+        "null",
+        '{"family": "3", "n": null}',
+        '{"family": "3", "n": "50"}',
+        '{"family": "3", "n": 50.9}',
+        '{"family": "3", "n": true}',
+        '{"family": "3", "n": 50, "seed": null}',
+        '{"family": "3", "n": 50, "delta": null}',
+        '{"family": "3", "n": 50, "delta": "1.0"}',
+        '{"family": "3", "n": 50, "params": [1]}',
+    ):
+        with pytest.raises(ex.InvalidSpec):
+            ex.ProblemSpec.from_json(text)
+    assert ex.ProblemSpec.from_json('{"family": "3", "n": 50, "delta": 2}').delta == 2.0
     with pytest.raises(ex.InvalidSpec):
         ex.ProblemSpec(family="9z", n=100)
     with pytest.raises(ex.InvalidSpec):

@@ -7,21 +7,21 @@ from trslab.lanczos import operator_norm_2
 
 def test_ldl_two_step():
     T = la.SymmetricTridiagonal([2.0, 2.0], [1.0])
-    d, l = la.ldl_shifted(T, 0.0)
+    d, l = la.ldl_shifted_e1(T, 0.0, 0.0)[:2]
     np.testing.assert_allclose(d, [2.0, 1.5])
     np.testing.assert_allclose(l, [0.5])
 
 
 def test_ldl_single_entry_shift():
     T = la.SymmetricTridiagonal([2.0], [])
-    d, _ = la.ldl_shifted(T, 1.0)
+    d, _ = la.ldl_shifted_e1(T, 1.0, 0.0)[:2]
     np.testing.assert_allclose(d, [3.0])
 
 
 def test_ldl_zero_pivot_signals_indefinite():
     T = la.SymmetricTridiagonal([0.0, 0.0], [1.0])
     with pytest.raises(la.IndefiniteShift) as info:
-        la.ldl_shifted(T, 0.0)
+        la.ldl_shifted_e1(T, 0.0, 0.0)
     assert info.value.pivot_index == 0
 
 
@@ -29,7 +29,7 @@ def test_ldl_reconstructs_shifted_matrix():
     rng = np.random.default_rng(0)
     T = la.SymmetricTridiagonal(rng.uniform(2, 4, 12), rng.uniform(-1, 1, 11))
     lam = 0.7
-    d, l = la.ldl_shifted(T, lam)
+    d, l = la.ldl_shifted_e1(T, lam, 0.0)[:2]
     m = T.order
     L = np.eye(m) + np.diag(l, -1)
     rec = L @ np.diag(d) @ L.T
@@ -59,7 +59,7 @@ def test_solve_shifted_random_residuals():
 
 
 def _ldl_shifted_array_kernel(T, lam):
-    # the kernel that ldl_shifted replaced: the shift added to the numpy
+    # the kernel that the list LDL' replaced: the shift added to the numpy
     # diagonal, pivots and multipliers returned as arrays
     diag = (T.diag + lam).tolist()
     off = T.offdiag.tolist()
@@ -96,6 +96,10 @@ def _solve_shifted_array_kernel(T, lam, rhs):
     return np.array(h)
 
 
+def _ldl_factors(T, lam):
+    return la.ldl_shifted_e1(T, lam, 0.0)[:2]
+
+
 def _kernel_outcome(factor, solve, T, lam, rhs):
     try:
         d, l = factor(T, lam)
@@ -127,7 +131,7 @@ def test_list_kernel_matches_array_kernel_bitwise():
             for lam, indefinite in shifts:
                 rhs = rng.standard_normal(m)
                 rhs[rng.uniform(size=m) < 0.3] = 0.0
-                new = _kernel_outcome(la.ldl_shifted, la.solve_shifted, T, lam, rhs)
+                new = _kernel_outcome(_ldl_factors, la.solve_shifted, T, lam, rhs)
                 old = _kernel_outcome(
                     _ldl_shifted_array_kernel, _solve_shifted_array_kernel, T, lam, rhs
                 )
@@ -144,12 +148,12 @@ def _assert_extremal_eig_splits_pivots(T):
     assert lo <= hi
     e = 1e-14 * T.inf_norm()
     negated = la.SymmetricTridiagonal(-T.diag, T.offdiag)
-    la.ldl_shifted(T, -(lo - e))
-    la.ldl_shifted(negated, hi + e)
+    la.ldl_shifted_e1(T, -(lo - e), 0.0)
+    la.ldl_shifted_e1(negated, hi + e, 0.0)
     with pytest.raises(la.IndefiniteShift):
-        la.ldl_shifted(T, -(lo + e))
+        la.ldl_shifted_e1(T, -(lo + e), 0.0)
     with pytest.raises(la.IndefiniteShift):
-        la.ldl_shifted(negated, hi - e)
+        la.ldl_shifted_e1(negated, hi - e, 0.0)
 
 
 def test_extremal_eig_examples():

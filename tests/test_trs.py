@@ -113,6 +113,34 @@ def test_near_hard_probe_raises_where_newton_would_reach_the_boundary():
     assert exc.value.gap == pytest.approx(19.5, abs=0.05)
 
 
+def test_near_hard_probe_second_try(monkeypatch):
+    # theta_min reported 5e-14 (1 + |theta_min|) too high puts the first
+    # probe below -theta_min, so only the second, ten times as far up, factors
+    T = la.SymmetricTridiagonal([1.0, 0.5, -1.0], [0.3, 0.0])
+    true_eig = trs.extremal_eig_tridiagonal
+
+    def high_theta_min(T):
+        lo, hi = true_eig(T)
+        return lo + 5e-14 * (1.0 + abs(lo)), hi
+
+    factored = []
+
+    def spy(T, lam, y0):
+        factored.append(lam)
+        return la.ldl_shifted_e1(T, lam, y0)
+
+    monkeypatch.setattr(trs, "extremal_eig_tridiagonal", high_theta_min)
+    monkeypatch.setattr(trs, "ldl_shifted_e1", spy)
+    with pytest.raises(trs.NearHardCase) as exc:
+        trs.solve_trs_tridiagonal(T, 1.0, 10.0)
+    # the start at lam = 0, then the two probes; T + lam I is definite
+    # exactly when lam > 1, its decoupled last pivot being lam - 1
+    assert len(factored) == 3
+    assert factored[0] == 0.0 and factored[1] < 1.0 < factored[2]
+    h = np.linalg.solve([[2.0, 0.3], [0.3, 1.5]], [-1.0, 0.0])
+    assert abs(exc.value.gap - (10.0 - np.linalg.norm(h))) <= 1e-12
+
+
 def test_dense_oracle_cap():
     with pytest.raises(ValueError):
         trs.solve_trs_dense(np.eye(501), np.ones(501), 1.0)

@@ -147,7 +147,7 @@ def test_one_sweep_derivative_matches_the_two_sweep_solve(instance, gap_exponent
     except la.IndefiniteShift:
         return  # a gap below the rounding of theta_min
     h, hh = la.ldl_back(d, l, y)
-    reference = float(np.array(h) @ la.solve_ldl(d, l, h))
+    reference = float(np.array(h) @ la.solve_shifted(T, lam, h))
     one_sweep = la.ldl_quadratic_form(d, l, h)
     # fixed beforehand: a few roundings for each of the m terms
     m = T.order
