@@ -39,7 +39,7 @@ from .augmented import (
     spectral_condition,
     subspace_sine,
 )
-from .gltr import check_budget, gltr_solve
+from .gltr import check_budget, explicit_residual, gltr_solve
 from .lanczos import estimate_extremal_eigenvalues, operator_norm_2
 from .lanczos import lanczos_run  # noqa: F401  not called here; perfbench/layers.py rebinds it
 from .linalg import Spectrum, SymmetricLinearOperator, ldl_back, ldl_shifted_e1, solve_shifted
@@ -318,9 +318,6 @@ class ExperimentTable:
     def nrows(self):
         return len(self.columns["k"])
 
-    def column(self, name):
-        return self.columns[name]
-
 
 @dataclass
 class ExperimentResult:
@@ -353,18 +350,10 @@ def run_experiment(
     delta = spec.delta
     sd = bnd.spectrum_data(ref.alpha1, ref.alpha_n, ref.lambda_opt, beta0, delta)
 
-    run = gltr_solve(
-        A,
-        g,
-        delta,
-        resid_tol=resid_tol,
-        k_max=k_max,
-        verify_residuals=True,
-        keep_iterates=True,
-    )
+    run = gltr_solve(A, g, delta, resid_tol=resid_tol, k_max=k_max)
     records = run.history
     nk = len(records)
-    tridiag = run.factorization.tridiag
+    tridiag, basis = run.factorization.tridiag, run.factorization.basis
     last_k = records[-1].k
     checkpoints = set(range(0, last_k + 1, max(checkpoint_every, 1)))
     checkpoints.add(last_k)
@@ -394,7 +383,7 @@ def run_experiment(
     ref_d, ref_l, ref_y = ldl_shifted_e1(tridiag, ref.lambda_opt, 1.0)
     for idx, rec in enumerate(records):
         k = rec.k
-        h, s_k = run.iterates[idx]
+        s_k = basis[:, : k + 1] @ rec.h
         t_k = tridiag.leading(k + 1)
 
         cols["lambda_gap"][idx] = ref.lambda_opt - rec.lam
@@ -402,7 +391,7 @@ def run_experiment(
         sine, _ = solution_sine(s_k, ref.s_opt)
         cols["sin_angle"][idx] = sine
         cols["s_gap"][idx] = float(np.linalg.norm(s_k - ref.s_opt))
-        cols["resid"][idx] = rec.resid_explicit
+        cols["resid"][idx] = explicit_residual(A, g, rec.lam, s_k)
         cols["resid_formula"][idx] = rec.resid_formula
 
         x = np.array(ldl_back(ref_d[: k + 1], ref_l[:k], ref_y[: k + 1])[0])
@@ -417,7 +406,7 @@ def run_experiment(
             diag_data[key][idx] = getattr(ef, key)
 
         if k in checkpoints and rec.case == BOUNDARY:
-            pair = eigpair_from_trs(t_k, rec.lam, h, beta0=beta0, delta=delta)
+            pair = eigpair_from_trs(t_k, rec.lam, rec.h, beta0=beta0, delta=delta)
             mk = assemble_projected(t_k, beta0, delta)
             sep = separation(mk, pair.vector, ref.lambda_opt)
             diag_data["sep"][idx] = sep
@@ -426,8 +415,7 @@ def run_experiment(
             diag_data["spectral_condition"][idx] = spectral_condition(t_k, rec.lam, pair.z1)
 
         if diagnostics:
-            basis_k = run.factorization.basis[:, : k + 1]
-            diag_data["subspace_sine"][idx] = subspace_sine(ref.y1, ref.y2, basis_k)
+            diag_data["subspace_sine"][idx] = subspace_sine(ref.y1, ref.y2, basis[:, : k + 1])
             diag_data["subspace_sine_bound"][idx] = bnd.sin_subspace_bound(
                 k, sd, ref.y1_norm
             )
@@ -435,7 +423,7 @@ def run_experiment(
     table = ExperimentTable(columns=cols)
     summary = _summary(spec, ref, run, sd, beta0)
     if diagnostics:
-        gamma_final = gamma_tilde(AugmentedOperator(A, g, delta), run.factorization.basis)
+        gamma_final = gamma_tilde(AugmentedOperator(A, g, delta), basis)
         extra = dict(diag_data, gamma_tilde_final=gamma_final)
     else:
         extra = {key: diag_data[key] for key in ("sep", "eta1", "eta2", "eta1_cap", "eta2_cap", "spectral_condition")}

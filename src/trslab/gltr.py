@@ -3,8 +3,10 @@
 Grows the Lanczos factorization one step at a time, solves each projected
 tridiagonal subproblem exactly, and records the full convergence history.
 The cheap residual formula beta_{k+1} * |last entry of h_k| equals the true
-residual norm ||(A + lam_k I) s_k + g||, so the expensive full-space vector
-s_k = Q_k h_k is only formed at termination unless callers ask for it.
+residual norm ||(A + lam_k I) s_k + g||, so the driver needs only h_k at each
+step: the full-space vector s = Q_k h_k is formed once, at termination.  A
+caller that wants an earlier iterate forms s_k = Q[:, :k+1] h_k from the
+returned basis and the record's h.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lanczos import extend_lanczos, lanczos_run
-from .trs import BOUNDARY, INTERIOR, solve_trs_tridiagonal
+from .trs import BOUNDARY, solve_trs_tridiagonal
 
 RESIDUAL_TOL = "residual_tol"
 BREAKDOWN = "breakdown"
@@ -28,13 +30,12 @@ class ZeroGradient(ValueError):
 @dataclass
 class ConvergenceRecord:
     k: int
+    h: np.ndarray  # solution of the projected TRS at step k, k + 1 entries
     lam: float
     q: float
     resid_formula: float
-    last_entry: float
     case: str
     secular_iterations: int
-    resid_explicit: float | None = None
 
 
 @dataclass
@@ -45,7 +46,6 @@ class GltrResult:
     q: float
     termination: str
     factorization: object = None
-    iterates: list | None = None  # per-k (h_k, s_k) when requested
 
     @property
     def iterations(self):
@@ -76,15 +76,7 @@ def check_budget(k_max, resid_tol):
         raise ValueError(f"resid_tol must be >= 0, got {resid_tol!r}")
 
 
-def gltr_solve(
-    A,
-    g,
-    delta,
-    resid_tol=1e-13,
-    k_max=300,
-    verify_residuals=False,
-    keep_iterates=False,
-):
+def gltr_solve(A, g, delta, resid_tol=1e-13, k_max=300):
     """Solve min g^T s + s^T A s / 2 over ||s|| <= delta by Krylov projection.
 
     Stops when the residual formula drops below resid_tol, on Lanczos
@@ -94,6 +86,8 @@ def gltr_solve(
     LDL' factors at that multiplier come along: T_{k+1} extends T_k by one
     row, so the solve at step k+1 factors only that row at its first shift.
 
+    Each step's record holds h_k, so the iterate s_k is
+    factorization.basis[:, :k+1] @ h_k; only the final s is formed here.
     The Lanczos basis reserves min(n, k_max + 1) columns up front; pages
     become resident as columns are written, give or take a 2 MiB huge page
     on a store of 4 MiB or more.  The returned factorization holds
@@ -114,8 +108,7 @@ def gltr_solve(
 
     fact = lanczos_run(A, g, 0, capacity=k_max + 1)
     history: list[ConvergenceRecord] = []
-    iterates = [] if keep_iterates else None
-    warm = factors = s = None
+    warm = factors = None
 
     for k in range(k_max + 1):
         T = fact.tridiag
@@ -126,24 +119,18 @@ def gltr_solve(
             q = objective_via_tridiagonal(h, lam, beta0, delta)
         else:
             q = beta0 * float(h[0]) + 0.5 * float(h @ T.matvec(h))
-        last = float(h[-1])
-        resid_formula = fact.beta_next * abs(last)
-        record = ConvergenceRecord(
-            k=k,
-            lam=lam,
-            q=q,
-            resid_formula=resid_formula,
-            last_entry=last,
-            case=sol.case,
-            secular_iterations=sol.secular_iterations,
+        resid_formula = fact.beta_next * abs(float(h[-1]))
+        history.append(
+            ConvergenceRecord(
+                k=k,
+                h=h,
+                lam=lam,
+                q=q,
+                resid_formula=resid_formula,
+                case=sol.case,
+                secular_iterations=sol.secular_iterations,
+            )
         )
-        if verify_residuals or keep_iterates:
-            s = fact.basis @ h
-            if verify_residuals:
-                record.resid_explicit = explicit_residual(A, g, lam, s)
-            if keep_iterates:
-                iterates.append((h, s))
-        history.append(record)
         warm, factors = lam, sol.factors
         if fact.broken_down:
             termination = BREAKDOWN
@@ -156,15 +143,12 @@ def gltr_solve(
             break
         fact = extend_lanczos(fact, A, 1)
 
-    if s is None:
-        s = fact.basis @ h
     final = history[-1]
     return GltrResult(
         history=history,
         lam=final.lam,
-        s=s,
+        s=fact.basis @ h,
         q=final.q,
         termination=termination,
         factorization=fact.trimmed(),
-        iterates=iterates,
     )

@@ -11,27 +11,28 @@ entry of T is checked finite once, when it is produced, and a factorization
 carries the running row maxima of T (the breakdown test's Gershgorin scale
 and T's inf-norm), so neither is rebuilt from all rows at every step.
 
-A run writes its basis into one column-major n x capacity store that grows
-in place (doubling when full), and the reorthogonalization works on the
+A run writes its basis into one column-major n x capacity store, whose
+capacity is fixed when it is made, and the reorthogonalization works on the
 filled prefix of that store directly.  The store also holds T's diagonal and
 off-diagonal in buffers of the same capacity, and, when it has room, the
 dangling q_{k+1} in its first unfilled column.  A factorization's `basis`,
 `tridiag` and `next_vector` are slices of read-only views that the store
-makes once per allocation.  Factorizations are immutable values: extending
-one appends to its store in place when it is the newest value on that
-store, claiming q_{k+1} where it lies, and otherwise copies its basis and T
-into a new store first, so earlier values never change.  Either way the
-result is entrywise identical to a longer fresh run.
+makes once, when it is made.  Factorizations are immutable values: extending
+one appends to its store in place when it is the newest value on that store
+and the new steps fit, claiming q_{k+1} where it lies, and otherwise copies
+its basis and T into a new store first, of at least twice its order, so
+earlier values never change.  Either way the result is entrywise identical
+to a longer fresh run.
 
 Re-entering a run is O(1) Python work beyond the recurrence, so extending
 one step at a time, as gltr does, costs little more than one longer run: a
 factorization carries the row maxima its last step closed, so resuming
 reads nothing back from T; the store's fill count and capacity say whether
-q_{k+1} already lies in the spare column; and a new value is two
-constructor calls on slices of the store's views.  On a diagonal operator
-at 1 BLAS thread (2-core Xeon), 60 one-step extensions take about 5 to 7 us
-per step more than one 60-step run, whose steps take about 16 us at
-n = 100 and 39 us at n = 2000.
+the value can append in place, with q_{k+1} already in the spare column;
+and a new value is two constructor calls on slices of the store's views.
+On a diagonal operator at 1 BLAS thread (2-core Xeon), 60 one-step
+extensions take about 5 to 7 us per step more than one 60-step run, whose
+steps take about 16 us at n = 100 and 39 us at n = 2000.
 
 A step allocates no n-vector of its own: the recurrence and the
 Gram-Schmidt passes write through `out=` into a two-vector workspace that
@@ -76,33 +77,24 @@ class _ColumnStore:
     Column-major keeps every prefix contiguous with leading dimension n, so
     BLAS sees the same operands, and rounds the same way, whatever the
     capacity.  `views` holds read-only views of the three buffers, made once
-    per allocation: a value's basis, T and spare q_{k+1} are slices of them,
+    with the store: a value's basis, T and spare q_{k+1} are slices of them,
     and a slice of a read-only view is read-only.  `work` is the step's
     scratch, two n-vectors allocated once with the store: the residual being
-    built and one product.  A run that stops with room left writes its
-    dangling q_{k+1} into the first unfilled column, the spare, which
-    resuming then claims as it stands.
+    built and one product.  The capacity never changes.  A run that stops
+    with room left writes its dangling q_{k+1} into the first unfilled
+    column, the spare, which resuming then claims as it stands.
     """
 
     def __init__(self, n, capacity):
-        self._hold(np.empty((n, capacity), order="F"), np.empty(capacity), np.empty(capacity))
+        self.array = np.empty((n, capacity), order="F")
+        self.diag, self.off = np.empty(capacity), np.empty(capacity)
+        self.views = tuple(_frozen(buffer.view()) for buffer in (self.array, self.diag, self.off))
         self.filled = 0
         self.work = tuple(np.empty((2, n)))
-
-    def _hold(self, array, diag, off):
-        self.array, self.diag, self.off = array, diag, off
-        self.views = tuple(_frozen(buffer.view()) for buffer in (array, diag, off))
 
     def claim(self):
         """The next column, counted as filled; the caller writes it unless it
         is the spare."""
-        n, capacity = self.array.shape
-        if self.filled == capacity:
-            grown = min(n, 2 * capacity)
-            array = np.empty((n, grown), order="F")
-            array[:, :capacity] = self.array
-            extra = np.empty(grown - capacity)
-            self._hold(array, np.concatenate([self.diag, extra]), np.concatenate([self.off, extra]))
         self.filled += 1
         return self.array[:, self.filled - 1]
 
@@ -264,11 +256,11 @@ def lanczos_run(A, g, k_max, breakdown_tol=1e-12, capacity=None):
     """Run the Lanczos process on (A, g) through step min(k_max, breakdown).
 
     The first basis vector is g normalized, so Q_k^T g = beta0 * e_1.
-    `capacity` is the number of basis columns to reserve, k_max + 1 by
-    default (at most n); a caller that will extend the run passes the final
-    count it expects.  Pages become resident as columns are written, but
-    numpy asks for transparent huge pages on arrays of 4 MiB or more, so a
-    large store may hold up to 2 MiB beyond its written columns.
+    max(capacity, k_max + 1) basis columns are reserved, at most n; a caller
+    that will extend the run passes the final count it expects, so that the
+    extensions append in place.  Pages become resident as columns are
+    written, but numpy asks for transparent huge pages on arrays of 4 MiB or
+    more, so a large store may hold up to 2 MiB beyond its written columns.
     """
     g = np.asarray(g, dtype=float)
     beta0 = float(np.linalg.norm(g))
@@ -276,9 +268,7 @@ def lanczos_run(A, g, k_max, breakdown_tol=1e-12, capacity=None):
         raise ZeroStartVector("start vector has zero norm")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    if capacity is None:
-        capacity = k_max + 1
-    store = _ColumnStore(g.size, max(1, min(g.size, capacity)))
+    store = _ColumnStore(g.size, min(g.size, max(capacity or 0, k_max + 1)))
     np.divide(g, beta0, out=store.claim())
     grown = _grow(A, store, _NO_ROWS, 0.0, k_max + 1, breakdown_tol)
     return _assemble(store, beta0, *grown)
@@ -289,10 +279,12 @@ def extend_lanczos(f, A, steps, breakdown_tol=1e-12):
 
     Extending is deterministic: the result matches a single longer run
     entrywise, and f itself is left unchanged.  Extending the newest value
-    on a store appends to it in place, reusing q_{k+1} where it lies in the
-    spare column; any other value is copied into a new store first.  On the
-    newest value the call costs O(1) beyond the steps themselves, whatever
-    k is, so a caller may extend one step at a time.  Raises
+    on a store whose capacity holds the new steps appends to it in place,
+    claiming q_{k+1} where it lies in the spare column.  Any other value is
+    copied first into a new store of min(n, max(order + steps, 2 * order))
+    columns, so one-step extensions past a full store copy the basis only
+    at doublings.  In place the call costs O(1) beyond the steps themselves,
+    whatever k is, so a caller may extend one step at a time.  Raises
     AlreadyBrokenDown if the process already terminated.
     """
     if steps < 0:
@@ -301,20 +293,17 @@ def extend_lanczos(f, A, steps, breakdown_tol=1e-12):
         return f
     if f.broken_down:
         raise AlreadyBrokenDown("Lanczos process has already broken down")
-    order = f.basis.shape[1]
-    store = f._store
-    if store is not None and store.filled == order:
-        # f is the newest value on its store, so q_{k+1} lies in the spare
-        # column exactly when the store has room
-        spare = order < store.array.shape[1]
+    order, store = f.basis.shape[1], f._store
+    end = min(f.dim, order + steps)
+    if store is not None and store.filled == order and end <= store.array.shape[1]:
+        # f is the newest value on its store, which has room, so q_{k+1}
+        # lies in the spare column
+        store.claim()
     else:
-        # f has no store or was extended before: branch into a copy
-        store, spare = _ColumnStore.copy_of(f, min(f.dim, order + steps)), False
+        store = _ColumnStore.copy_of(f, max(end, min(f.dim, 2 * order)))
+        store.claim()[:] = f.next_vector
     # re-enter the recurrence at the dangling (beta_next, q_next) step
     store.off[order - 1] = f.beta_next
-    column = store.claim()
-    if not spare:
-        column[:] = f.next_vector
     grown = _grow(A, store, f._row_max, f.beta_next, order + steps, breakdown_tol)
     return _assemble(store, f.beta0, *grown)
 

@@ -37,6 +37,26 @@ def _real(path, line_no, tok):
     return value
 
 
+def _read_size(path, size_line, fields):
+    """The integers of a size line with the given fields ('rows cols' or
+    'rows cols nnz'), checked: a square order >= 1 and an nnz >= 0."""
+    line_no, text = size_line
+    parts = text.split()
+    if len(parts) != len(fields.split()):
+        raise ParseError(path, line_no, f"size line needs '{fields}'")
+    try:
+        sizes = [int(p) for p in parts]
+    except ValueError:
+        raise ParseError(path, line_no, "size entries must be integers") from None
+    if sizes[0] != sizes[1]:
+        raise ParseError(path, line_no, f"matrix must be square, got {sizes[0]}x{sizes[1]}")
+    if sizes[0] < 1:
+        raise ParseError(path, line_no, f"matrix order must be >= 1, got {sizes[0]}")
+    if len(sizes) == 3 and sizes[2] < 0:
+        raise ParseError(path, line_no, f"entry count must be >= 0, got {sizes[2]}")
+    return sizes
+
+
 def read_matrix_market(path):
     """Read a Matrix Market file into triplets of a symmetric matrix.
 
@@ -70,15 +90,7 @@ def read_matrix_market(path):
         raise ParseError(path, line_no, "missing size line")
 
     if fmt == "coordinate":
-        parts = size_line[1].split()
-        if len(parts) != 3:
-            raise ParseError(path, size_line[0], "coordinate size line needs 'rows cols nnz'")
-        try:
-            nrows, ncols, nnz = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(path, size_line[0], "size entries must be integers") from None
-        if nrows != ncols:
-            raise ParseError(path, size_line[0], f"matrix must be square, got {nrows}x{ncols}")
+        nrows, ncols, nnz = _read_size(path, size_line, "rows cols nnz")
         ii, jj, vv = [], [], []
         count = 0
         for line_no, line in lines:
@@ -116,15 +128,7 @@ def read_matrix_market(path):
         return nrows, rows, cols, vals
 
     # dense array, column-major per the format definition
-    parts = size_line[1].split()
-    if len(parts) != 2:
-        raise ParseError(path, size_line[0], "array size line needs 'rows cols'")
-    try:
-        nrows, ncols = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(path, size_line[0], "size entries must be integers") from None
-    if nrows != ncols:
-        raise ParseError(path, size_line[0], f"matrix must be square, got {nrows}x{ncols}")
+    nrows, ncols = _read_size(path, size_line, "rows cols")
     expected = nrows * (nrows + 1) // 2 if symmetry == "symmetric" else nrows * ncols
     values = []
     for line_no, line in lines:

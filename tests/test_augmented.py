@@ -224,7 +224,8 @@ def test_trs_and_eigen_routes_agree_along_a_run(small_run):
     beta0 = res.summary["beta0"]
     delta = res.spec.delta
     tridiag = res.run.factorization.tridiag
-    for rec, (h, _) in list(zip(res.run.history, res.run.iterates))[::7]:
+    for rec in res.run.history[::7]:
+        h = rec.h
         assert rec.case == trs.BOUNDARY
         t_k = tridiag.leading(rec.k + 1)
         pair = aug.eigpair_from_trs(t_k, rec.lam, h, beta0=beta0, delta=delta)

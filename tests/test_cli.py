@@ -56,6 +56,12 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert ":3:" in err  # line number surfaces in the message
+    # a size line of order 0 is a parse error too, not a traceback from the solver
+    empty = _write(tmp_path, "empty.mtx", "%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n")
+    code = main(["solve", empty, "--gradient", grad])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and ":2:" in err
 
 
 def test_solve_near_hard_exit_code(tmp_path, capsys):

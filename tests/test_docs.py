@@ -29,3 +29,14 @@ def test_module_map_names_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_library_quickstart_runs(capsys):
+    # the quickstart reads record fields by name, so running it keeps them in
+    # step with ConvergenceRecord
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md quickstart", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4

@@ -54,13 +54,13 @@ def test_history_records_secular_iterations():
     seen = {}
     for name, (d, g, delta) in cases.items():
         g = g / np.linalg.norm(g)
-        res = gltr_solve(diag_op(d), g, delta, keep_iterates=True)
+        res = gltr_solve(diag_op(d), g, delta)
         warm = None
-        for rec, (h, _) in zip(res.history, res.iterates):
+        for rec in res.history:
             T = res.factorization.tridiag.leading(rec.k + 1)
             sol = trs.solve_trs_tridiagonal(T, float(np.linalg.norm(g)), delta, lam_lower=warm)
             assert rec.secular_iterations == sol.secular_iterations >= 1
-            assert rec.lam == sol.lam and np.array_equal(h, sol.h)
+            assert rec.lam == sol.lam and np.array_equal(rec.h, sol.h)
             seen.setdefault(name, set()).add((sol.case, sol.factors is None))
             warm = rec.lam
         assert max(rec.secular_iterations for rec in res.history) > 1 or name == "interior"
@@ -141,6 +141,29 @@ def test_returned_basis_matches_fresh_run_bitwise(k_max, resid_tol):
     assert res.factorization._store is None
 
 
+@pytest.mark.parametrize(
+    "d, delta, kwargs, termination",
+    [
+        (np.repeat([-2.0, 0.3, 1.1, 4.5], 25), 1.0, {}, BREAKDOWN),
+        (np.linspace(-1.0, 1.0, 300), 1.0, {}, RESIDUAL_TOL),
+        (np.linspace(1.0, 2.0, 300), 100.0, {"resid_tol": 0.0, "k_max": 12}, K_MAX),
+    ],
+    ids=[BREAKDOWN, RESIDUAL_TOL, K_MAX],
+)
+def test_records_carry_h_and_its_residual_formula(d, delta, kwargs, termination):
+    # each record's h_k is all the driver keeps of step k: its last entry
+    # times beta_{k+1} is the residual formula, and the final one gives s
+    g = np.random.default_rng(7).standard_normal(d.size)
+    res = gltr_solve(diag_op(d), g, delta, **kwargs)
+    assert res.termination == termination
+    f = res.factorization
+    betas = list(f.tridiag.offdiag) + [f.beta_next]
+    for rec, beta in zip(res.history, betas, strict=True):
+        assert rec.h.size == rec.k + 1
+        assert rec.resid_formula == beta * abs(rec.h[-1])
+    assert np.array_equal(res.s, f.basis @ res.history[-1].h)
+
+
 def test_objective_closed_form_one_by_one():
     # T = [2], beta0 = 4, delta = 1: (T + 2) h = -4 gives h = [-1] on the boundary
     h = np.array([-1.0])
@@ -164,15 +187,21 @@ def medium_run():
     A = diag_op(d)
     g = rng.standard_normal(n)
     g /= np.linalg.norm(g)
-    res = gltr_solve(A, g, 1.0, resid_tol=1e-13, verify_residuals=True, keep_iterates=True)
+    res = gltr_solve(A, g, 1.0, resid_tol=1e-13)
     return A, g, d, res
+
+
+def _iterates(res):
+    """(record, s_k) at every step, s_k formed from the returned basis."""
+    Q = res.factorization.basis
+    return [(rec, Q[:, : rec.k + 1] @ rec.h) for rec in res.history]
 
 
 def test_residual_identity_every_iteration(medium_run):
     A, g, d, res = medium_run
     scale = np.abs(d).max() * 1.0 + np.linalg.norm(g)
-    for rec in res.history:
-        assert abs(rec.resid_formula - rec.resid_explicit) <= 1e-9 * scale
+    for rec, s in _iterates(res):
+        assert abs(rec.resid_formula - explicit_residual(A, g, rec.lam, s)) <= 1e-9 * scale
 
 
 def test_multiplier_and_objective_monotonicity(medium_run):
@@ -187,7 +216,7 @@ def test_multiplier_and_objective_monotonicity(medium_run):
 
 def test_objective_identity_along_history(medium_run):
     A, g, d, res = medium_run
-    for rec, (h, s) in zip(res.history, res.iterates):
+    for rec, s in _iterates(res):
         direct = float(g @ s + 0.5 * s @ A.apply(s))
         assert abs(rec.q - direct) <= 1e-10 * (1 + abs(rec.q))
 

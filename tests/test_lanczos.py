@@ -211,13 +211,13 @@ def test_one_step_extensions_match_fresh_runs_bitwise():
         assert np.shares_memory(values[-2].next_vector, values[-1].basis)
     full = values[-1]
     assert full.basis.shape[1] == store.array.shape[1] == 5
-    # the newest value on a full store: the store doubles
+    # the newest value on a full store: a copy into a store of twice its order
     values.append(step(full))
-    assert values[-1]._store is store and store.array.shape[1] == 10
-    # an older value: a branch into a copy
+    assert values[-1]._store is not store and values[-1]._store.array.shape[1] == 10
+    # the same value again: another branch into a copy
     branch = step(full)
     assert branch._store is not store
-    # every value, before and after the doubling, is still read-only
+    # every value, before and after the copy, is still read-only
     for f in values + [branch]:
         for array in _exposed_arrays(f):
             with pytest.raises(ValueError):
@@ -235,7 +235,8 @@ def test_one_step_extensions_match_fresh_runs_bitwise():
     assert np.shares_memory(full_trimmed.basis, full._store.array)
     snapshot = _snapshot(full_trimmed)
     step(full_trimmed)
-    step(full)  # the store it shares its basis with doubles
+    # the store it shares its basis with is full, so extending copies it
+    assert step(full)._store is not full._store
     assert _snapshot(full_trimmed) == snapshot
 
 
@@ -336,10 +337,17 @@ def test_in_place_step_matches_out_of_place_arithmetic_bitwise(monkeypatch):
     A = diag_op(rng.standard_normal(n))
     g = rng.standard_normal(n)
     reference = _out_of_place_run(A, g, 40)
-    # a store of 4 columns doubles four times during the run
-    grown = lanczos_run(A, g, 40, capacity=4)
-    assert grown._store.array.shape[1] == 64
-    _assert_matches_reference(grown, reference)
+    # extended in blocks from a full 4-column store: one step past it copies
+    # into a store of twice the order, which takes the next three in place,
+    # and a block past that copies into a store that just holds it
+    grown = lanczos_run(A, g, 3)
+    stores = []
+    for steps in (1, 3, 33):
+        grown = extend_lanczos(grown, A, steps)
+        stores.append(grown._store)
+        _assert_matches_reference(grown, reference)
+    assert [store.array.shape[1] for store in stores] == [8, 8, 41]
+    assert stores[0] is stores[1] is not stores[2]
     # two extensions branched from one factorization, the second on a copy
     base = lanczos_run(A, g, 10)
     first = extend_lanczos(base, A, 15)

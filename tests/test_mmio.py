@@ -76,12 +76,26 @@ def test_error_carries_line_number(tmp_path):
         "%%MatrixMarket vector coordinate real symmetric\n1 1 1\n1 1 1.0\n",
         "not a header\n",
         "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n-2 -2 0\n",
+        "%%MatrixMarket matrix array real general\n0 0\n",
     ],
 )
 def test_rejected_headers(tmp_path, header):
     path = _write(tmp_path, "h.mtx", header)
     with pytest.raises(mmio.ParseError):
         mmio.read_matrix_market(path)
+
+
+@pytest.mark.parametrize(
+    "kind, size",
+    [("coordinate", "0 0 0"), ("coordinate", "-2 -2 0"), ("coordinate", "2 2 -1"), ("array", "0 0")],
+)
+def test_degenerate_size_line_carries_its_line_number(tmp_path, kind, size):
+    path = _write(tmp_path, "s.mtx", f"%%MatrixMarket matrix {kind} real general\n% note\n{size}\n")
+    with pytest.raises(mmio.ParseError, match="must be >= ") as info:
+        mmio.read_matrix_market(path)
+    assert info.value.line_no == 3
 
 
 def test_read_vector(tmp_path):
