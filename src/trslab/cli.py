@@ -1,8 +1,10 @@
 """Command-line surface: solve TRS instances, run named experiments, verify.
 
 Exit codes: 0 success, 1 verification failure (a failed `verify` suite or
-`solve` KKT check), 2 parse error or invalid input, 3 near-hard case (a JSON
-diagnostic is still printed), 4 iteration-budget exhaustion; 3 and 4 win over 1.
+`solve` KKT check), 2 parse error, invalid input or a MemoryError, 3 near-hard
+case (a JSON diagnostic is still printed; for `experiment` also a reference
+multiplier that leaves A + lam I indefinite), 4 iteration-budget exhaustion; 3
+and 4 win over 1.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import sys
 import numpy as np
 
 from . import experiments as ex
+from .bounds import HardOrIndefiniteShift
 from .gltr import K_MAX, explicit_residual, gltr_solve
-from .linalg import NoConvergence, SymmetricLinearOperator
-from .mmio import ParseError, read_matrix_market, read_vector
+from .linalg import NoConvergence
+from .mmio import ParseError
 from .trs import NearHardCase, check_kkt
 from .verify import verify
 
@@ -78,32 +81,24 @@ def _build_parser():
     return parser
 
 
-def _cmd_solve(args):
-    try:
-        n, rows, cols, vals = read_matrix_market(args.matrix)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    A = SymmetricLinearOperator.from_triplets(n, rows, cols, vals)
-    if args.gradient is not None:
-        try:
-            g = read_vector(args.gradient)
-        except (ParseError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        if g.size != n:
-            print(f"error: gradient length {g.size} != matrix order {n}", file=sys.stderr)
-            return EXIT_PARSE
-    else:
-        rng = np.random.default_rng(args.seed_gradient)
-        g = rng.standard_normal(n)
-        g /= float(np.linalg.norm(g))
+def _input_error(exc):
+    print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    return EXIT_PARSE
 
+
+def _cmd_solve(args):
+    # a `file` instance: the order comes from the matrix, and without a
+    # gradient file g is a unit Gaussian seeded by --seed-gradient
+    params = {"path": args.matrix}
+    if args.gradient is not None:
+        params["gradient_path"] = args.gradient
     try:
+        spec = ex.ProblemSpec("file", 0, args.delta, args.seed_gradient or 0, params)
+        A, g = ex.generate(spec)
         result = gltr_solve(A, g, args.delta, resid_tol=args.tol, k_max=args.kmax)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        kkt = check_kkt(A, g, args.delta, result.lam, result.s)
+    except (ValueError, ParseError, OSError, MemoryError) as exc:
+        return _input_error(exc)
     except NearHardCase as exc:
         payload = {
             "error": "near_hard_case",
@@ -116,7 +111,6 @@ def _cmd_solve(args):
         print(json.dumps({"error": "no_convergence", "detail": str(exc)}, indent=2))
         return EXIT_NO_CONVERGENCE
 
-    kkt = check_kkt(A, g, args.delta, result.lam, result.s)
     payload = {
         "lambda": result.lam,
         "s_norm": float(np.linalg.norm(result.s)),
@@ -174,12 +168,16 @@ def _cmd_experiment(args):
             resid_tol=args.resid_tol,
             checkpoint_every=args.checkpoints,
         )
-    except (ValueError, ParseError, OSError) as exc:
+    except (ValueError, ParseError, OSError, MemoryError) as exc:
         # ValueError covers InvalidSpec, json.JSONDecodeError and a bad budget
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _input_error(exc)
     except NearHardCase as exc:
         print(json.dumps({"error": "near_hard_case", "boundary_norm_gap": exc.gap}, indent=2))
+        return EXIT_NEAR_HARD
+    except HardOrIndefiniteShift as exc:
+        # the reference multiplier leaves A + lam I indefinite: a (near) hard
+        # case that the Krylov reference did not resolve
+        print(json.dumps({"error": "near_hard_case", "detail": str(exc)}, indent=2))
         return EXIT_NEAR_HARD
     except NoConvergence as exc:
         print(json.dumps({"error": "no_convergence", "detail": str(exc)}, indent=2))

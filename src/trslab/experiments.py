@@ -311,20 +311,11 @@ def reference_solution(A, g, delta):
 
 
 @dataclass
-class ExperimentTable:
-    columns: dict
-
-    @property
-    def nrows(self):
-        return len(self.columns["k"])
-
-
-@dataclass
 class ExperimentResult:
     spec: ProblemSpec
     reference: ReferenceSolution
     run: object
-    table: ExperimentTable
+    table: dict  # CSV_COLUMNS name -> one value per recorded step
     summary: dict
     diagnostics: dict | None = None
 
@@ -420,7 +411,6 @@ def run_experiment(
                 k, sd, ref.y1_norm
             )
 
-    table = ExperimentTable(columns=cols)
     summary = _summary(spec, ref, run, sd, beta0)
     if diagnostics:
         gamma_final = gamma_tilde(AugmentedOperator(A, g, delta), basis)
@@ -428,7 +418,7 @@ def run_experiment(
     else:
         extra = {key: diag_data[key] for key in ("sep", "eta1", "eta2", "eta1_cap", "eta2_cap", "spectral_condition")}
     return ExperimentResult(
-        spec=spec, reference=ref, run=run, table=table, summary=summary, diagnostics=extra
+        spec=spec, reference=ref, run=run, table=cols, summary=summary, diagnostics=extra
     )
 
 
@@ -465,15 +455,13 @@ def _summary(spec, ref, run, sd, beta0):
 
 def emit_csv(table, path):
     """Write the table with full-precision decimal values and LF endings."""
-    if table.nrows == 0:
+    if len(table["k"]) == 0:
         raise ValueError("refusing to emit an empty table")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(table.nrows):
-            parts = [str(int(table.columns["k"][i]))]
-            for name in CSV_COLUMNS[1:]:
-                parts.append(format(float(table.columns[name][i]), ".17g"))
-            fh.write(",".join(parts) + "\n")
+        for i, k in enumerate(table["k"]):
+            values = (format(float(table[name][i]), ".17g") for name in CSV_COLUMNS[1:])
+            fh.write(",".join([str(int(k)), *values]) + "\n")
 
 
 def parse_csv(path):
@@ -483,10 +471,9 @@ def parse_csv(path):
         if names != CSV_COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
         rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    cols = {
+    return {
         name: np.array([float(row[j]) for row in rows]) for j, name in enumerate(CSV_COLUMNS)
     }
-    return ExperimentTable(columns=cols)
 
 
 PLOT_PANELS = [
@@ -499,7 +486,7 @@ PLOT_PANELS = [
 
 def emit_plot_script(table, path, csv_name):
     """Self-contained gnuplot script: four log-scale panels, one per error."""
-    if table.nrows == 0:
+    if len(table["k"]) == 0:
         raise ValueError("refusing to emit a plot for an empty table")
     col_index = {name: i + 1 for i, name in enumerate(CSV_COLUMNS)}
     lines = [

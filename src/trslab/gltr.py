@@ -88,10 +88,12 @@ def gltr_solve(A, g, delta, resid_tol=1e-13, k_max=300):
 
     Each step's record holds h_k, so the iterate s_k is
     factorization.basis[:, :k+1] @ h_k; only the final s is formed here.
-    The Lanczos basis reserves min(n, k_max + 1) columns up front; pages
-    become resident as columns are written, give or take a 2 MiB huge page
-    on a store of 4 MiB or more.  The returned factorization holds
-    only the columns it uses, and not the run's step workspace.  Raises
+    The Lanczos basis reserves min(n, k_max + 1) columns up front, or as
+    many as lanczos.RESERVE_BYTES holds if fewer, and a run that outgrows
+    them is copied into a store twice as large; pages become resident as
+    columns are written, give or take a 2 MiB huge page on a store of 4 MiB
+    or more.  The returned factorization holds only the columns it uses,
+    and not the run's step workspace.  Raises
     ValueError, before any Lanczos work, if g has a non-finite entry, delta
     is not in (0, inf), or `check_budget` rejects k_max or resid_tol, and
     ZeroGradient (a ValueError) if g = 0.

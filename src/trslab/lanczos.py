@@ -59,6 +59,8 @@ import numpy as np
 from .linalg import SymmetricLinearOperator, SymmetricTridiagonal, extremal_eig_tridiagonal
 
 _NO_ROWS = (1e-300, 0.0)  # row maxima before any row closes; breakdown scale > 0
+BREAKDOWN_TOL = 1e-12  # a run breaks down once beta_{k+1} <= this * ||T|| (Gershgorin)
+RESERVE_BYTES = 256 * 2**20  # a capacity hint reserves at most this much basis
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -190,7 +192,7 @@ def _reorthogonalize(qmat, r, work):
     return math.sqrt(r @ r), 2
 
 
-def _grow(A, store, row_max, left, order_target, breakdown_tol):
+def _grow(A, store, row_max, left, order_target):
     """Advance the three-term recurrence until `order_target` steps are done.
 
     Invariant on entry: T holds one row fewer than `store.filled`, the last
@@ -224,7 +226,7 @@ def _grow(A, store, row_max, left, order_target, breakdown_tol):
         if not math.isfinite(beta):  # checked once, here
             raise ValueError("nonfinite entries")
         closed = _close_row(row_max, delta, left, beta)
-        if beta <= breakdown_tol * closed[0] or j >= n:
+        if beta <= BREAKDOWN_TOL * closed[0] or j >= n:
             q_next, broken = None, True
         elif j == order_target:
             broken = False
@@ -252,13 +254,15 @@ def _assemble(store, beta0, beta_next, q_next, broken, row_max, inf_norm):
     )
 
 
-def lanczos_run(A, g, k_max, breakdown_tol=1e-12, capacity=None):
+def lanczos_run(A, g, k_max, capacity=None):
     """Run the Lanczos process on (A, g) through step min(k_max, breakdown).
 
     The first basis vector is g normalized, so Q_k^T g = beta0 * e_1.
     max(capacity, k_max + 1) basis columns are reserved, at most n; a caller
     that will extend the run passes the final count it expects, so that the
-    extensions append in place.  Pages become resident as columns are
+    extensions append in place.  The capacity hint is clipped to the columns
+    that RESERVE_BYTES holds; a longer run then grows by extend_lanczos's
+    copy, with the same entries.  Pages become resident as columns are
     written, but numpy asks for transparent huge pages on arrays of 4 MiB or
     more, so a large store may hold up to 2 MiB beyond its written columns.
     """
@@ -268,13 +272,14 @@ def lanczos_run(A, g, k_max, breakdown_tol=1e-12, capacity=None):
         raise ZeroStartVector("start vector has zero norm")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    store = _ColumnStore(g.size, min(g.size, max(capacity or 0, k_max + 1)))
+    hint = min(capacity or 0, RESERVE_BYTES // (8 * g.size))
+    store = _ColumnStore(g.size, min(g.size, max(hint, k_max + 1)))
     np.divide(g, beta0, out=store.claim())
-    grown = _grow(A, store, _NO_ROWS, 0.0, k_max + 1, breakdown_tol)
+    grown = _grow(A, store, _NO_ROWS, 0.0, k_max + 1)
     return _assemble(store, beta0, *grown)
 
 
-def extend_lanczos(f, A, steps, breakdown_tol=1e-12):
+def extend_lanczos(f, A, steps):
     """Continue a factorization by the given number of steps.
 
     Extending is deterministic: the result matches a single longer run
@@ -304,7 +309,7 @@ def extend_lanczos(f, A, steps, breakdown_tol=1e-12):
         store.claim()[:] = f.next_vector
     # re-enter the recurrence at the dangling (beta_next, q_next) step
     store.off[order - 1] = f.beta_next
-    grown = _grow(A, store, f._row_max, f.beta_next, order + steps, breakdown_tol)
+    grown = _grow(A, store, f._row_max, f.beta_next, order + steps)
     return _assemble(store, f.beta0, *grown)
 
 

@@ -22,9 +22,20 @@ class ParseError(Exception):
 
 
 def _data_lines(path):
+    """(line_no, stripped text) of the file's lines that are neither blank nor
+    % comments; a Matrix Market header is a % line too."""
     with open(path, "r", encoding="ascii") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            yield line_no, raw.rstrip("\n")
+            text = raw.strip()
+            if text and not text.startswith("%"):
+                yield line_no, text
+
+
+def _last_line_no(path):
+    """The number of the file's last line, where a count found short or long
+    at the end of the file is reported."""
+    with open(path, "r", encoding="ascii") as fh:
+        return sum(1 for _ in fh)
 
 
 def _real(path, line_no, tok):
@@ -63,89 +74,71 @@ def read_matrix_market(path):
     Returns (n, rows, cols, values) with both triangles present.  A
     'general' matrix must be symmetric to within SYM_TOL.
     """
-    lines = _data_lines(path)
-    try:
-        line_no, header = next(lines)
-    except StopIteration:
-        raise ParseError(path, 0, "empty file") from None
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline()
+    if not header:
+        raise ParseError(path, 0, "empty file")
     fields = header.lower().split()
     if len(fields) != 5 or fields[0] != "%%matrixmarket" or fields[1] != "matrix":
-        raise ParseError(path, line_no, "expected '%%MatrixMarket matrix <format> real <symmetry>'")
+        raise ParseError(path, 1, "expected '%%MatrixMarket matrix <format> real <symmetry>'")
     fmt, scalar, symmetry = fields[2], fields[3], fields[4]
     if fmt not in ("coordinate", "array"):
-        raise ParseError(path, line_no, f"unsupported format {fmt!r}")
+        raise ParseError(path, 1, f"unsupported format {fmt!r}")
     if scalar != "real":
-        raise ParseError(path, line_no, f"unsupported field type {scalar!r}")
+        raise ParseError(path, 1, f"unsupported field type {scalar!r}")
     if symmetry not in ("symmetric", "general"):
-        raise ParseError(path, line_no, f"unsupported symmetry {symmetry!r}")
+        raise ParseError(path, 1, f"unsupported symmetry {symmetry!r}")
 
-    size_line = None
-    for line_no, line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = (line_no, stripped)
-        break
+    lines = _data_lines(path)
+    size_line = next(lines, None)
     if size_line is None:
-        raise ParseError(path, line_no, "missing size line")
+        raise ParseError(path, _last_line_no(path), "missing size line")
 
     if fmt == "coordinate":
         nrows, ncols, nnz = _read_size(path, size_line, "rows cols nnz")
-        ii, jj, vv = [], [], []
-        count = 0
-        for line_no, line in lines:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            parts = stripped.split()
+        ii, jj, vv, line_nos = [], [], [], []
+        for line_no, text in lines:
+            parts = text.split()
             if len(parts) != 3:
                 raise ParseError(path, line_no, "entry line needs 'row col value'")
             try:
                 i, j = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(path, line_no, f"malformed entry {stripped!r}") from None
+                raise ParseError(path, line_no, f"malformed entry {text!r}") from None
             v = _real(path, line_no, parts[2])
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 raise ParseError(path, line_no, f"index ({i}, {j}) out of range")
             ii.append(i - 1)
             jj.append(j - 1)
             vv.append(v)
-            count += 1
-        if count != nnz:
-            raise ParseError(path, line_no if count else size_line[0],
-                             f"expected {nnz} entries, found {count}")
-        r0 = np.array(ii, dtype=np.intp)
-        c0 = np.array(jj, dtype=np.intp)
-        v0 = np.array(vv, dtype=float)
+            line_nos.append(line_no)
+        if len(vv) != nnz:
+            raise ParseError(path, _last_line_no(path) if vv else size_line[0],
+                             f"expected {nnz} entries, found {len(vv)}")
+        rows = np.array(ii, dtype=np.intp)
+        cols = np.array(jj, dtype=np.intp)
+        vals = np.array(vv, dtype=float)
         if symmetry == "symmetric":
-            off = r0 != c0
-            rows = np.concatenate([r0, c0[off]])
-            cols = np.concatenate([c0, r0[off]])
-            vals = np.concatenate([v0, v0[off]])
+            off = rows != cols
+            rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+            vals = np.concatenate([vals, vals[off]])
         else:
-            rows, cols, vals = r0, c0, v0
-            _check_triplet_symmetry(path, rows, cols, vals)
+            _check_triplet_symmetry(path, zip(line_nos, ii, jj, vv))
         return nrows, rows, cols, vals
 
     # dense array, column-major per the format definition
     nrows, ncols = _read_size(path, size_line, "rows cols")
     expected = nrows * (nrows + 1) // 2 if symmetry == "symmetric" else nrows * ncols
-    values = []
-    for line_no, line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        values.extend(_real(path, line_no, tok) for tok in stripped.split())
+    values = [_real(path, line_no, tok) for line_no, text in lines for tok in text.split()]
     if len(values) != expected:
-        raise ParseError(path, line_no, f"expected {expected} values, found {len(values)}")
-    a = np.zeros((nrows, ncols))
+        message = f"expected {expected} values, found {len(values)}"
+        raise ParseError(path, _last_line_no(path), message)
     if symmetry == "symmetric":
-        idx = 0
-        for j in range(ncols):
-            for i in range(j, nrows):
-                a[i, j] = values[idx]
-                a[j, i] = values[idx]
-                idx += 1
+        # the lower triangle column by column: (i, j) for j = 0.., i = j..n-1
+        j, i = np.triu_indices(nrows)
+        a = np.zeros((nrows, ncols))
+        a[i, j] = values
+        a[j, i] = values
     else:
         a = np.array(values).reshape((ncols, nrows)).T
         scale = max(1.0, float(np.abs(a).max()))
@@ -155,24 +148,27 @@ def read_matrix_market(path):
     return nrows, rows, cols, a[rows, cols]
 
 
-def _check_triplet_symmetry(path, rows, cols, vals):
-    a = {}
-    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+def _check_triplet_symmetry(path, entries):
+    """Raise ParseError, at the line of the first entry of the offending
+    position, unless the (line_no, i, j, v) entries sum to a symmetric matrix."""
+    a, first_line = {}, {}
+    for line_no, i, j, v in entries:
         a[(i, j)] = a.get((i, j), 0.0) + v
+        first_line.setdefault((i, j), line_no)
     scale = max(1.0, max(abs(v) for v in a.values()) if a else 1.0)
     for (i, j), v in a.items():
         if abs(v - a.get((j, i), 0.0)) > SYM_TOL * scale:
-            raise ParseError(path, 0, f"general matrix is not symmetric at ({i + 1}, {j + 1})")
+            message = f"general matrix is not symmetric at ({i + 1}, {j + 1})"
+            raise ParseError(path, first_line[(i, j)], message)
 
 
 def read_vector(path):
     """Whitespace-separated reals, any line layout."""
-    values = []
-    for line_no, line in _data_lines(path):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        values.extend(_real(path, line_no, tok) for tok in stripped.split())
+    values = [
+        _real(path, line_no, tok)
+        for line_no, text in _data_lines(path)
+        for tok in text.split()
+    ]
     if not values:
         raise ParseError(path, 0, "no values found")
     return np.array(values)

@@ -72,7 +72,6 @@ class TrsSolution:
     h: np.ndarray  # reduced coordinates (tridiagonal route) or full space (dense)
     case: str
     secular_iterations: int
-    kkt: KktReport | None = None
     factors: tuple | None = None  # _factor at lam, None after _boundary_between
 
 

@@ -89,7 +89,7 @@ def _run_family(family, scale, seed=0):
 
 
 def check_residual_identity(result):
-    cols = result.table.columns
+    cols = result.table
     ref = result.reference
     scale = (abs(ref.alpha1) + abs(ref.alpha_n)) * result.spec.delta + result.summary["beta0"]
     worst = float(np.nanmax(np.abs(cols["resid"] - cols["resid_formula"])))
@@ -128,16 +128,16 @@ def _floor_threshold(col_name, result):
 
 def asymptotic_start(result):
     """First index where the multiplier gap drops below alpha_n + lambda_opt."""
-    cols = result.table.columns
+    cols = result.table
     ref = result.reference
     shift = ref.alpha_n + ref.lambda_opt
     idx = np.nonzero(cols["lambda_gap"] <= shift)[0]
-    return int(idx[0]) if idx.size else result.table.nrows
+    return int(idx[0]) if idx.size else len(cols["k"])
 
 
 def check_dominance(result):
     """Every bound column >= its measured error above the floating floor."""
-    cols = result.table.columns
+    cols = result.table
     k0 = asymptotic_start(result)
     pairs = [
         ("lambda_gap", "lambda_gap_bound", k0),
@@ -176,7 +176,7 @@ def fit_log_slope(ks, values, floor, ceiling):
 
 def check_rates(result):
     """Fitted decay slopes against the theoretical t and t^2 rates."""
-    cols = result.table.columns
+    cols = result.table
     t = result.reference.t
     ks = cols["k"]
     two = 2.0 * math.log(t)

@@ -54,7 +54,7 @@ def _scale(result):
 
 
 def _first_k_at_or_below(result, column, threshold):
-    cols = result.table.columns
+    cols = result.table
     idx = np.nonzero(cols[column] <= threshold)[0]
     if idx.size == 0:
         return None
@@ -67,7 +67,7 @@ def test_criterion_1_residual_identity(acceptance_runs):
     for fam in FAMILIES:
         entry = acceptance_runs[fam]
         result = entry["result"]
-        cols = result.table.columns
+        cols = result.table
         gap = float(np.max(np.abs(cols["resid"] - cols["resid_formula"])))
         rel = gap / (1e-9 * _scale(result))
         worst = max(worst, rel)
@@ -163,7 +163,7 @@ def test_criterion_6_bound_dominance(acceptance_runs):
 
 def _bound_slope_checks(result):
     """Fitted log-slopes of the bound columns against their theoretical rates."""
-    cols = result.table.columns
+    cols = result.table
     ref = result.reference
     t = ref.t
     ks = cols["k"]

@@ -225,7 +225,7 @@ def test_run_level_bound_dominance(small_run):
 def test_first_lambda_bound_is_a_gross_overestimate(small_run):
     # diagnostic bound: dominates the multiplier gap but by orders of magnitude
     res = small_run
-    cols = res.table.columns
+    cols = res.table
     sd = bd.spectrum_data(
         res.reference.alpha1,
         res.reference.alpha_n,

@@ -244,6 +244,58 @@ def test_experiment_invalid_instance_exit_code(tmp_path, capsys, which):
     assert not out_dir.exists()
 
 
+@pytest.fixture
+def hard_case_files(tmp_path):
+    # A = diag(linspace(-1, 1, 50)) and g orthogonal to its lowest eigenvector
+    d = np.linspace(-1.0, 1.0, 50)
+    entries = "".join(f"{i} {i} {float(v)!r}\n" for i, v in enumerate(d, start=1))
+    header = "%%MatrixMarket matrix coordinate real symmetric\n50 50 50\n"
+    mtx = _write(tmp_path, "hard.mtx", header + entries)
+    g = np.ones(50)
+    g[0] = 0.0
+    g /= np.linalg.norm(g)
+    return mtx, _write(tmp_path, "ghard.txt", "\n".join(repr(float(v)) for v in g) + "\n")
+
+
+@pytest.mark.parametrize("delta", [2.0, 5.0, 10.0, 100.0])
+def test_experiment_hard_case_file_spec_exit_code(hard_case_files, tmp_path, capsys, delta):
+    # past delta = 2 the Krylov reference multiplier leaves A + lam I
+    # indefinite: exit 3 with a JSON diagnostic and no artifact
+    mtx, grad = hard_case_files
+    out_dir = tmp_path / "out"
+    argv = _spec_argv(tmp_path, "file", {"path": mtx, "gradient_path": grad}, delta=delta)
+    code = main(["experiment"] + argv + ["--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if delta == 2.0:
+        assert code == 0 and (out_dir / "file.csv").exists()
+        return
+    assert code == 3
+    out = json.loads(captured.out)
+    assert out["error"] == "near_hard_case" and "must be positive" in out["detail"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_memory_error_exit_code(one_by_one, tmp_path, capsys, monkeypatch, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 22.4 GiB")
+
+    out_dir = tmp_path / "out"
+    if command == "solve":
+        monkeypatch.setattr("trslab.cli.gltr_solve", exhausted)
+        argv = ["solve", one_by_one[0], "--gradient", one_by_one[1]]
+    else:
+        monkeypatch.setattr("trslab.cli.ex.run_experiment", exhausted)
+        argv = ["experiment", "1a", "--n", "50", "--out", str(out_dir)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: Unable to allocate 22.4 GiB\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_solve_writes_solution_and_verifies(one_by_one, tmp_path, capsys):
     mtx, grad = one_by_one
     out_path = tmp_path / "s.txt"

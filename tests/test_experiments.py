@@ -210,13 +210,12 @@ def test_reference_eigvector_relation_on_a_general_operator():
 def test_run_experiment_row_structure(small_run):
     res = small_run
     t = res.table
-    assert list(t.columns) == ex.CSV_COLUMNS
-    assert t.nrows == res.run.iterations
-    ks = t.columns["k"]
-    assert np.array_equal(ks, np.arange(t.nrows, dtype=float))
+    assert list(t) == ex.CSV_COLUMNS
+    ks = t["k"]
+    assert np.array_equal(ks, np.arange(res.run.iterations, dtype=float))
     # measured gaps stay nonnegative up to roundoff dust
     for name in ("lambda_gap", "q_gap", "cg_gap"):
-        assert t.columns[name].min() >= -1e-12
+        assert t[name].min() >= -1e-12
 
 
 def test_resolvent_moments_match_per_step_solves():
@@ -228,19 +227,19 @@ def test_resolvent_moments_match_per_step_solves():
     beta0 = float(np.linalg.norm(g))
     ref_moment = -float(g @ ref.s_opt) / (beta0 * beta0)
     tridiag = res.run.factorization.tridiag
-    assert res.table.nrows == tridiag.order > 10
-    for idx, k in enumerate(res.table.columns["k"].astype(int)):
+    assert len(res.table["k"]) == tridiag.order > 10
+    for idx, k in enumerate(res.table["k"].astype(int)):
         e1 = np.zeros(k + 1)
         e1[0] = 1.0
         x = la.solve_shifted(tridiag.leading(k + 1), ref.lambda_opt, e1)
         denom = spec.delta * spec.delta + beta0 * beta0 * float(x @ x)
-        assert res.table.columns["cg_gap"][idx] == ref_moment - float(x[0])
+        assert res.table["cg_gap"][idx] == ref_moment - float(x[0])
         assert res.diagnostics["eta1"][idx] == beta0 * beta0 / denom
         assert res.diagnostics["eta2"][idx] == 2.0 / denom
 
 
 def test_lambda_gap_column_nonincreasing(small_run):
-    gaps = small_run.table.columns["lambda_gap"]
+    gaps = small_run.table["lambda_gap"]
     floor = 1e-12
     live = gaps > floor
     assert np.all(np.diff(gaps[live]) <= 1e-13)
@@ -258,12 +257,12 @@ def test_csv_roundtrip_and_determinism(tmp_path):
     parsed = ex.parse_csv(p1)
     for name in ex.CSV_COLUMNS:
         np.testing.assert_allclose(
-            parsed.columns[name], res1.table.columns[name], rtol=0, atol=1e-15, equal_nan=True
+            parsed[name], res1.table[name], rtol=0, atol=1e-15, equal_nan=True
         )
 
 
 def test_emit_rejects_empty_table(tmp_path):
-    empty = ex.ExperimentTable(columns={name: np.array([]) for name in ex.CSV_COLUMNS})
+    empty = {name: np.array([]) for name in ex.CSV_COLUMNS}
     with pytest.raises(ValueError):
         ex.emit_csv(empty, tmp_path / "x.csv")
     with pytest.raises(ValueError):
@@ -291,7 +290,7 @@ def test_summary_parameter_block(small_run):
 def test_all_families_reach_deep_residual(family_runs):
     runs, _ = family_runs
     for fam, result in runs.items():
-        formulas = result.table.columns["resid_formula"]
+        formulas = result.table["resid_formula"]
         assert formulas.min() <= 1e-12, fam
         assert result.summary["final_k"] <= 300
 

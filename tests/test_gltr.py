@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trslab import lanczos
 from trslab import linalg as la
 from trslab import trs
 from trslab.gltr import (
@@ -139,6 +140,42 @@ def test_returned_basis_matches_fresh_run_bitwise(k_max, resid_tol):
     assert res.factorization.trimmed() is res.factorization
     # no store, so no step workspace, whether or not the run filled its columns
     assert res.factorization._store is None
+
+
+def test_capped_reservation_grows_by_copy_bitwise(monkeypatch):
+    # a store held to 3 columns by RESERVE_BYTES grows by extend_lanczos's
+    # copy, and the solve is bitwise the one with all k_max + 1 columns
+    n = 2000
+    rng = np.random.default_rng(8)
+    A = diag_op(np.linspace(-1.0, 100.0, n))
+    g = rng.standard_normal(n)
+    capacities = []
+
+    class RecordingStore(lanczos._ColumnStore):
+        def __init__(self, n, capacity):
+            capacities.append(capacity)
+            super().__init__(n, capacity)
+
+    monkeypatch.setattr(lanczos, "_ColumnStore", RecordingStore)
+    full = gltr_solve(A, g, 1.0)
+    assert capacities == [301]
+    capacities.clear()
+    monkeypatch.setattr(lanczos, "RESERVE_BYTES", 3 * 8 * n)
+    capped = gltr_solve(A, g, 1.0)
+    assert capacities == [3, 6, 12, 24, 48] and capped.iterations == 42
+    assert capped.lam == full.lam and capped.s.tobytes() == full.s.tobytes()
+    assert len(capped.history) == len(full.history)
+    for a, b in zip(capped.history, full.history):
+        assert a.h.tobytes() == b.h.tobytes()
+        assert a.secular_iterations == b.secular_iterations
+    fa, fb = capped.factorization, full.factorization
+    assert fa.basis.tobytes() == fb.basis.tobytes()
+    assert fa.tridiag.diag.tobytes() == fb.tridiag.diag.tobytes()
+    assert fa.tridiag.offdiag.tobytes() == fb.tridiag.offdiag.tobytes()
+    # a run still reserves its own k_max + 1 columns, whatever the cap
+    capacities.clear()
+    lanczos_run(A, g, 10, capacity=261)
+    assert capacities == [11]
 
 
 @pytest.mark.parametrize(

@@ -369,8 +369,9 @@ def test_in_place_step_matches_out_of_place_arithmetic_bitwise(monkeypatch):
     A = diag_op(d)
     reference = _out_of_place_run(A, g, 30)
     passes.clear()
-    f = lanczos_run(A, g, 12, breakdown_tol=0.0)
-    f = extend_lanczos(f, A, 18, breakdown_tol=0.0)
+    monkeypatch.setattr(lanczos, "BREAKDOWN_TOL", 0.0)
+    f = lanczos_run(A, g, 12)
+    f = extend_lanczos(f, A, 18)
     _assert_matches_reference(f, reference)
     assert 2 in passes
 
@@ -533,7 +534,8 @@ def test_basis_stays_orthonormal_over_long_runs_on_adversarial_spectra(monkeypat
     for name, d in spectra.items():
         tol = 0.0 if name.startswith("outlier") else 1e-12
         second_passes.clear()
-        f = lanczos_run(diag_op(d), rng.standard_normal(n), steps, breakdown_tol=tol)
+        monkeypatch.setattr(lanczos, "BREAKDOWN_TOL", tol)
+        f = lanczos_run(diag_op(d), rng.standard_normal(n), steps)
         assert not f.broken_down and f.k == steps, name
         Q = f.basis
         loss = np.abs(Q.T @ Q - np.eye(steps + 1)).max()

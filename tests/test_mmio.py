@@ -37,8 +37,18 @@ def test_coordinate_general_requires_symmetry(tmp_path):
         "1 2 1.0\n"
         "2 1 3.0\n",
     )
-    with pytest.raises(mmio.ParseError):
+    with pytest.raises(mmio.ParseError, match=r"g.mtx:3: .* at \(1, 2\)") as info:
         mmio.read_matrix_market(path)
+    assert info.value.line_no == 3
+    # an entry without its mirror is reported at its own line
+    path = _write(
+        tmp_path,
+        "m.mtx",
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n1 2 5.0\n",
+    )
+    with pytest.raises(mmio.ParseError, match=r"m.mtx:4: .* at \(1, 2\)") as info:
+        mmio.read_matrix_market(path)
+    assert info.value.line_no == 4
 
 
 def test_array_format(tmp_path):
@@ -53,6 +63,27 @@ def test_array_format(tmp_path):
     dense = np.zeros((2, 2))
     dense[rows, cols] = vals
     np.testing.assert_array_equal(dense, [[2.0, 1.0], [1.0, 3.0]])
+
+
+def test_symmetric_array_lists_the_lower_triangle_by_columns(tmp_path):
+    n = 6
+    values = np.random.default_rng(2).standard_normal(n * (n + 1) // 2)
+    values[[1, 7]] = 0.0
+    text = "\n".join(repr(float(v)) for v in values)
+    header = "%%MatrixMarket matrix array real symmetric\n% c\n"
+    path = _write(tmp_path, "d6.mtx", f"{header}{n} {n}\n{text}\n")
+    # the format's order, as a loop: column j from the diagonal down
+    expected = np.zeros((n, n))
+    idx = 0
+    for j in range(n):
+        for i in range(j, n):
+            expected[i, j] = expected[j, i] = values[idx]
+            idx += 1
+    order, rows, cols, vals = mmio.read_matrix_market(path)
+    assert order == n
+    exp_rows, exp_cols = np.nonzero(expected)
+    assert np.array_equal(rows, exp_rows) and np.array_equal(cols, exp_cols)
+    assert vals.tobytes() == expected[exp_rows, exp_cols].tobytes()
 
 
 def test_error_carries_line_number(tmp_path):

@@ -36,10 +36,9 @@ def test_rate_check_rejects_corrupted_decay_factor(small_run):
 
 
 def test_dominance_check_rejects_deflated_bounds(small_run):
-    cols = {k: v.copy() for k, v in small_run.table.columns.items()}
+    cols = {k: v.copy() for k, v in small_run.table.items()}
     cols["q_gap_bound"] = cols["q_gap_bound"] * 1e-6
-    bad_table = dataclasses.replace(small_run.table, columns=cols)
-    bad = dataclasses.replace(small_run, table=bad_table)
+    bad = dataclasses.replace(small_run, table=cols)
     passed, _, detail = verify.check_dominance(bad)
     assert not passed and "q_gap" in detail
 
