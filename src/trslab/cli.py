@@ -1,15 +1,17 @@
 """Command-line surface: solve TRS instances, run named experiments, verify.
 
 Exit codes: 0 success, 1 verification failure (a failed `verify` suite or
-`solve` KKT check), 2 parse error, invalid input or a MemoryError, 3 near-hard
-case (a JSON diagnostic is still printed; for `experiment` also a reference
-multiplier that leaves A + lam I indefinite), 4 iteration-budget exhaustion; 3
-and 4 win over 1.
+`solve` KKT check), 2 parse error, invalid input, an unwritable output path or
+a MemoryError, 3 near-hard case (a JSON diagnostic is still printed; for
+`experiment` also a reference multiplier that leaves A + lam I indefinite), 4
+iteration-budget exhaustion; 3 and 4 win over 1.  `main` maps exceptions to
+these codes for every subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -67,7 +69,6 @@ def _build_parser():
     p_exp.add_argument("--delta", type=float, default=1.0, help="trust-region radius")
     p_exp.add_argument("--kmax", type=int, default=300, help="maximum Krylov iterations")
     p_exp.add_argument("--resid-tol", type=float, default=1e-13, help="stopping tolerance")
-    p_exp.add_argument("--checkpoints", type=int, default=5, help="angle-bound checkpoint stride")
     p_exp.add_argument("--out", default=".", help="output directory")
     p_exp.add_argument(
         "--orthogonal-similarity",
@@ -81,35 +82,16 @@ def _build_parser():
     return parser
 
 
-def _input_error(exc):
-    print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-    return EXIT_PARSE
-
-
 def _cmd_solve(args):
     # a `file` instance: the order comes from the matrix, and without a
     # gradient file g is a unit Gaussian seeded by --seed-gradient
     params = {"path": args.matrix}
     if args.gradient is not None:
         params["gradient_path"] = args.gradient
-    try:
-        spec = ex.ProblemSpec("file", 0, args.delta, args.seed_gradient or 0, params)
-        A, g = ex.generate(spec)
-        result = gltr_solve(A, g, args.delta, resid_tol=args.tol, k_max=args.kmax)
-        kkt = check_kkt(A, g, args.delta, result.lam, result.s)
-    except (ValueError, ParseError, OSError, MemoryError) as exc:
-        return _input_error(exc)
-    except NearHardCase as exc:
-        payload = {
-            "error": "near_hard_case",
-            "boundary_norm_gap": exc.gap,
-            "theta_min": exc.theta_min,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_NEAR_HARD
-    except NoConvergence as exc:
-        print(json.dumps({"error": "no_convergence", "detail": str(exc)}, indent=2))
-        return EXIT_NO_CONVERGENCE
+    spec = ex.ProblemSpec("file", 0, args.delta, args.seed_gradient or 0, params)
+    A, g = ex.generate(spec)
+    result = gltr_solve(A, g, args.delta, resid_tol=args.tol, k_max=args.kmax)
+    kkt = check_kkt(A, g, args.delta, result.lam, result.s)
 
     payload = {
         "lambda": result.lam,
@@ -118,13 +100,7 @@ def _cmd_solve(args):
         "case": result.history[-1].case,
         "iterations": result.iterations,
         "termination": result.termination,
-        "kkt": {
-            "feasibility_gap": kkt.feasibility_gap,
-            "stationarity": kkt.stationarity,
-            "complementarity": kkt.complementarity,
-            "curvature_margin": kkt.curvature_margin,
-            "passed": kkt.passed,
-        },
+        "kkt": dataclasses.asdict(kkt),
     }
     if args.verify_residuals:
         Q = result.factorization.basis
@@ -138,56 +114,30 @@ def _cmd_solve(args):
         payload["warning"] = "near_hard_case"
         print(json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_NEAR_HARD
-    print(json.dumps(payload, indent=2, sort_keys=True))
     if args.solution_out:
         with open(args.solution_out, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(format(v, ".17g") for v in result.s) + "\n")
+    print(json.dumps(payload, indent=2, sort_keys=True))
     if result.termination == K_MAX:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK if kkt.passed else EXIT_FAIL
 
 
 def _cmd_experiment(args):
-    try:
-        if args.spec is not None:
-            with open(args.spec, "r", encoding="ascii") as fh:
-                spec = ex.ProblemSpec.from_json(fh.read())
-            name = spec.family
-        else:
-            params = {}
-            if args.orthogonal_similarity:
-                params["orthogonal_similarity"] = True
-            base = ex.default_spec(args.name, n=args.n, seed=args.seed, delta=args.delta)
-            spec = ex.ProblemSpec(
-                family=base.family, n=base.n, delta=base.delta, seed=base.seed, params=params
-            )
-            name = args.name
-        result = ex.run_experiment(
-            spec,
-            k_max=args.kmax,
-            resid_tol=args.resid_tol,
-            checkpoint_every=args.checkpoints,
-        )
-    except (ValueError, ParseError, OSError, MemoryError) as exc:
-        # ValueError covers InvalidSpec, json.JSONDecodeError and a bad budget
-        return _input_error(exc)
-    except NearHardCase as exc:
-        print(json.dumps({"error": "near_hard_case", "boundary_norm_gap": exc.gap}, indent=2))
-        return EXIT_NEAR_HARD
-    except HardOrIndefiniteShift as exc:
-        # the reference multiplier leaves A + lam I indefinite: a (near) hard
-        # case that the Krylov reference did not resolve
-        print(json.dumps({"error": "near_hard_case", "detail": str(exc)}, indent=2))
-        return EXIT_NEAR_HARD
-    except NoConvergence as exc:
-        print(json.dumps({"error": "no_convergence", "detail": str(exc)}, indent=2))
-        return EXIT_NO_CONVERGENCE
+    if args.spec is not None:
+        with open(args.spec, "r", encoding="ascii") as fh:
+            spec = ex.ProblemSpec.from_json(fh.read())
+    else:
+        params = {"orthogonal_similarity": True} if args.orthogonal_similarity else {}
+        base = ex.default_spec(args.name, n=args.n, seed=args.seed, delta=args.delta)
+        spec = dataclasses.replace(base, params=params)
+    result = ex.run_experiment(spec, k_max=args.kmax, resid_tol=args.resid_tol)
 
     os.makedirs(args.out, exist_ok=True)
-    csv_name = f"{name}.csv"
+    csv_name = f"{spec.family}.csv"
     ex.emit_csv(result.table, os.path.join(args.out, csv_name))
-    ex.emit_plot_script(result.table, os.path.join(args.out, f"{name}.plt"), csv_name)
-    ex.emit_summary(result.summary, os.path.join(args.out, f"{name}.summary.json"))
+    ex.emit_plot_script(result.table, os.path.join(args.out, f"{spec.family}.plt"), csv_name)
+    ex.emit_summary(result.summary, os.path.join(args.out, f"{spec.family}.summary.json"))
     print(json.dumps(result.summary["rounded"], indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -198,13 +148,23 @@ def _cmd_verify(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    return _cmd_verify(args)
+    args = _build_parser().parse_args(argv)
+    command = {"solve": _cmd_solve, "experiment": _cmd_experiment, "verify": _cmd_verify}
+    try:
+        return command[args.command](args)
+    except (ValueError, ParseError, OSError, MemoryError) as exc:
+        # ValueError covers InvalidSpec, json.JSONDecodeError and a bad budget;
+        # OSError an unreadable input and an unwritable output path
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_PARSE
+    except (NearHardCase, HardOrIndefiniteShift) as exc:
+        # HardOrIndefiniteShift: the reference multiplier of an experiment
+        # leaves A + lam I indefinite, a (near) hard case it did not resolve
+        print(json.dumps({"error": "near_hard_case", "detail": str(exc)}, indent=2))
+        return EXIT_NEAR_HARD
+    except NoConvergence as exc:
+        print(json.dumps({"error": "no_convergence", "detail": str(exc)}, indent=2))
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

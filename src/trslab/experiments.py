@@ -21,6 +21,7 @@ a summary JSON for each run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,12 +33,10 @@ from .augmented import (
     AugmentedOperator,
     assemble_projected,
     eigpair_from_trs,
-    gamma_tilde,
     m_norm_from_spectrum,
     separation,
     solution_sine,
     spectral_condition,
-    subspace_sine,
 )
 from .gltr import check_budget, explicit_residual, gltr_solve
 from .lanczos import estimate_extremal_eigenvalues, operator_norm_2
@@ -48,6 +47,7 @@ from .trs import BOUNDARY, solve_trs_spectral
 
 FAMILIES = ("1a", "1b", "2", "3", "4", "file")
 REFERENCE_TOL = 1e-14  # secular and residual tolerance of reference_solution
+CHECKPOINT_EVERY = 5  # stride of the steps at which the angle bound is evaluated
 
 CSV_COLUMNS = [
     "k",
@@ -71,6 +71,15 @@ class InvalidSpec(ValueError):
     pass
 
 
+# the JSON values a spec field of each annotated type accepts (no bool), and
+# how an error names them; `family` is checked against FAMILIES instead
+_JSON_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "dict": (dict, "an object"),
+}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     family: str
@@ -88,34 +97,30 @@ class ProblemSpec:
             raise InvalidSpec(f"delta must be positive and finite, got {self.delta!r}")
 
     def to_json(self):
-        return json.dumps(
-            {
-                "family": self.family,
-                "n": self.n,
-                "delta": self.delta,
-                "seed": self.seed,
-                "params": self.params,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
         if not isinstance(data, dict):
             raise InvalidSpec("a spec must be a JSON object")
-        extra = set(data) - {"family", "n", "delta", "seed", "params"}
+        fields = dataclasses.fields(cls)
+        extra = set(data) - {f.name for f in fields}
         if extra:
             raise InvalidSpec(f"unknown spec fields {sorted(extra)}")
-        if not {"family", "n"} <= set(data):
-            raise InvalidSpec("a spec needs the fields 'family' and 'n'")
-        data = {"delta": 1.0, "seed": 0, "params": {}, **data}
-        kinds = (("n", int, "an integer"), ("seed", int, "an integer"),
-                 ("delta", (int, float), "a number"), ("params", dict, "an object"))
-        for name, kind, what in kinds:
-            if not isinstance(data[name], kind) or isinstance(data[name], bool):
-                raise InvalidSpec(f"spec field {name!r} must be {what}, got {data[name]!r}")
-        return cls(data["family"], data["n"], float(data["delta"]), data["seed"], data["params"])
+        missing = dataclasses.MISSING
+        required = [f.name for f in fields if f.default is missing and f.default_factory is missing]
+        if not set(required) <= set(data):
+            raise InvalidSpec(f"a spec needs the fields {' and '.join(map(repr, required))}")
+        for f in fields:
+            if f.name not in data or f.type not in _JSON_KINDS:
+                continue
+            kind, what = _JSON_KINDS[f.type]
+            if not isinstance(data[f.name], kind) or isinstance(data[f.name], bool):
+                raise InvalidSpec(f"spec field {f.name!r} must be {what}, got {data[f.name]!r}")
+            if f.type == "float":
+                data[f.name] = float(data[f.name])
+        return cls(**data)
 
 
 def default_spec(name, n=None, seed=0, delta=1.0):
@@ -317,25 +322,26 @@ class ExperimentResult:
     run: object
     table: dict  # CSV_COLUMNS name -> one value per recorded step
     summary: dict
-    diagnostics: dict | None = None
+    diagnostics: dict  # DIAGNOSTICS name -> one value per recorded step
 
 
-def run_experiment(
-    spec,
-    k_max=300,
-    resid_tol=1e-13,
-    checkpoint_every=5,
-    diagnostics=False,
-):
+# per-step run-level constants of the bounds, nan where not evaluated
+DIAGNOSTICS = ("sep", "eta1", "eta2", "eta1_cap", "eta2_cap", "spectral_condition")
+
+
+def run_experiment(spec, k_max=300, resid_tol=1e-13):
     """Run a family end to end and assemble the per-iteration error/bound table.
 
-    The separation-based angle bound is evaluated at checkpoint iterations
-    (it costs dense work at size 2(k+1)); other columns exist at every k.
-    Raises ValueError for a negative k_max or a resid_tol not >= 0 before
-    generating the instance.
+    The separation-based angle bound is evaluated every CHECKPOINT_EVERY
+    steps and at the last (it costs dense work at size 2(k+1)); other columns
+    exist at every k.  Raises ValueError for a negative k_max or a resid_tol
+    not >= 0 before generating the instance, and InvalidSpec when the
+    generated order differs from spec.n.
     """
     check_budget(k_max, resid_tol)
     A, g = generate(spec)
+    if A.dim != spec.n:
+        raise InvalidSpec(f"spec n {spec.n} != matrix order {A.dim}")
     ref = reference_solution(A, g, spec.delta)
     beta0 = float(np.linalg.norm(g))
     delta = spec.delta
@@ -346,7 +352,7 @@ def run_experiment(
     nk = len(records)
     tridiag, basis = run.factorization.tridiag, run.factorization.basis
     last_k = records[-1].k
-    checkpoints = set(range(0, last_k + 1, max(checkpoint_every, 1)))
+    checkpoints = set(range(0, last_k + 1, CHECKPOINT_EVERY))
     checkpoints.add(last_k)
 
     # reference value of the leading resolvent moment g'(A + lam I)^-1 g / beta0^2,
@@ -357,16 +363,7 @@ def run_experiment(
 
     cols = {name: np.full(nk, np.nan) for name in CSV_COLUMNS}
     cols["k"] = np.array([r.k for r in records], dtype=float)
-    diag_data = {
-        "subspace_sine": np.full(nk, np.nan),
-        "subspace_sine_bound": np.full(nk, np.nan),
-        "spectral_condition": np.full(nk, np.nan),
-        "sep": np.full(nk, np.nan),
-        "eta1": np.full(nk, np.nan),
-        "eta2": np.full(nk, np.nan),
-        "eta1_cap": np.full(nk, np.nan),
-        "eta2_cap": np.full(nk, np.nan),
-    }
+    diag_data = {name: np.full(nk, np.nan) for name in DIAGNOSTICS}
 
     # the LDL' factors of each leading block t_k + lam* I, and the forward
     # sweep of e1 through them, are prefixes of the final tridiagonal's, so
@@ -405,51 +402,31 @@ def run_experiment(
                 cols["sin_angle_bound"][idx] = bnd.sin_angle_bound(k, sd, ref.m_norm, sep)
             diag_data["spectral_condition"][idx] = spectral_condition(t_k, rec.lam, pair.z1)
 
-        if diagnostics:
-            diag_data["subspace_sine"][idx] = subspace_sine(ref.y1, ref.y2, basis[:, : k + 1])
-            diag_data["subspace_sine_bound"][idx] = bnd.sin_subspace_bound(
-                k, sd, ref.y1_norm
-            )
-
-    summary = _summary(spec, ref, run, sd, beta0)
-    if diagnostics:
-        gamma_final = gamma_tilde(AugmentedOperator(A, g, delta), basis)
-        extra = dict(diag_data, gamma_tilde_final=gamma_final)
-    else:
-        extra = {key: diag_data[key] for key in ("sep", "eta1", "eta2", "eta1_cap", "eta2_cap", "spectral_condition")}
     return ExperimentResult(
-        spec=spec, reference=ref, run=run, table=cols, summary=summary, diagnostics=extra
+        spec=spec,
+        reference=ref,
+        run=run,
+        table=cols,
+        summary=_summary(spec, ref, run, beta0),
+        diagnostics=diag_data,
     )
 
 
-def _summary(spec, ref, run, sd, beta0):
-    rounded = {
-        "alpha1": round(ref.alpha1, 4),
-        "alpha_n": round(ref.alpha_n, 4),
-        "kappa": round(ref.kappa, 4),
-        "t": round(ref.t, 4),
-        "lambda_opt": round(ref.lambda_opt, 4),
-        "q_opt": round(ref.q_opt, 4),
+def _summary(spec, ref, run, beta0):
+    # the six reference values the summary also quotes rounded
+    headline = {
+        key: getattr(ref, key) for key in ("alpha1", "alpha_n", "kappa", "t", "lambda_opt", "q_opt")
     }
     return {
-        "family": spec.family,
-        "n": spec.n,
-        "delta": spec.delta,
-        "seed": spec.seed,
-        "params": spec.params,
+        **dataclasses.asdict(spec),
         "beta0": beta0,
-        "alpha1": ref.alpha1,
-        "alpha_n": ref.alpha_n,
-        "kappa": ref.kappa,
-        "t": ref.t,
-        "lambda_opt": ref.lambda_opt,
-        "q_opt": ref.q_opt,
+        **headline,
         "m_norm": ref.m_norm,
         "y1_norm": ref.y1_norm,
         "iterations": run.iterations,
         "final_k": run.history[-1].k,
         "termination": run.termination,
-        "rounded": rounded,
+        "rounded": {key: round(value, 4) for key, value in headline.items()},
     }
 
 

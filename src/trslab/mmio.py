@@ -129,7 +129,8 @@ def read_matrix_market(path):
     # dense array, column-major per the format definition
     nrows, ncols = _read_size(path, size_line, "rows cols")
     expected = nrows * (nrows + 1) // 2 if symmetry == "symmetric" else nrows * ncols
-    values = [_real(path, line_no, tok) for line_no, text in lines for tok in text.split()]
+    tokens = [(line_no, tok) for line_no, text in lines for tok in text.split()]
+    values = [_real(path, line_no, tok) for line_no, tok in tokens]
     if len(values) != expected:
         message = f"expected {expected} values, found {len(values)}"
         raise ParseError(path, _last_line_no(path), message)
@@ -142,8 +143,11 @@ def read_matrix_market(path):
     else:
         a = np.array(values).reshape((ncols, nrows)).T
         scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > SYM_TOL * scale:
-            raise ParseError(path, size_line[0], "general array matrix is not symmetric")
+        asymmetric = np.flatnonzero((np.abs(a - a.T) > SYM_TOL * scale).T)
+        if asymmetric.size:
+            # the first value, in the file's column-major order, of an offending pair
+            message = "general array matrix is not symmetric"
+            raise ParseError(path, tokens[asymmetric[0]][0], message)
     rows, cols = np.nonzero(a)
     return nrows, rows, cols, a[rows, cols]
 

@@ -26,6 +26,6 @@ def family_runs():
 
 @pytest.fixture(scope="session")
 def small_run():
-    """One quick diagonal run with diagnostics for module-level checks."""
+    """One quick diagonal run for module-level checks."""
     spec = ex.ProblemSpec(family="2", n=2000, seed=11)
-    return ex.run_experiment(spec, diagnostics=True)
+    return ex.run_experiment(spec)

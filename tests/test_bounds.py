@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from trslab import augmented as aug
 from trslab import bounds as bd
+from trslab import experiments as ex
 from trslab import linalg as la
 
 
@@ -212,9 +214,24 @@ def test_sin_angle_bound_limits(sd_1a):
         bd.sin_angle_bound(3, sd_1a, 3.0, 0.0)
 
 
+def _run_spectrum_data(res):
+    ref = res.reference
+    return bd.spectrum_data(
+        ref.alpha1, ref.alpha_n, ref.lambda_opt, res.summary["beta0"], res.spec.delta
+    )
+
+
 def test_run_level_bound_dominance(small_run):
     # measured subspace angle must sit below its bound at every iteration
-    diag = small_run.diagnostics
+    ref, basis = small_run.reference, small_run.run.factorization.basis
+    sd = _run_spectrum_data(small_run)
+    ks = [rec.k for rec in small_run.run.history]
+    diag = {
+        "subspace_sine": np.array(
+            [aug.subspace_sine(ref.y1, ref.y2, basis[:, : k + 1]) for k in ks]
+        ),
+        "subspace_sine_bound": np.array([bd.sin_subspace_bound(k, sd, ref.y1_norm) for k in ks]),
+    }
     mask = ~np.isnan(diag["subspace_sine"])
     assert mask.sum() > 10
     assert np.all(
@@ -226,14 +243,10 @@ def test_first_lambda_bound_is_a_gross_overestimate(small_run):
     # diagnostic bound: dominates the multiplier gap but by orders of magnitude
     res = small_run
     cols = res.table
-    sd = bd.spectrum_data(
-        res.reference.alpha1,
-        res.reference.alpha_n,
-        res.reference.lambda_opt,
-        res.summary["beta0"],
-        res.spec.delta,
-    )
-    gamma = res.diagnostics["gamma_tilde_final"]
+    sd = _run_spectrum_data(res)
+    A, g = ex.generate(res.spec)
+    augmented = aug.AugmentedOperator(A, g, res.spec.delta)
+    gamma = aug.gamma_tilde(augmented, res.run.factorization.basis)
     scond = res.diagnostics["spectral_condition"]
     mask = ~np.isnan(scond)
     ks = cols["k"][mask].astype(int)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from trslab.cli import main
+from trslab.linalg import NoConvergence
+from trslab.trs import NearHardCase
 
 
 def _write(tmp_path, name, text):
@@ -214,6 +216,12 @@ def _spec_argv(tmp_path, family="2", params=None, **fields):
         lambda tmp: _spec_argv(tmp, seed=None),
         lambda tmp: _spec_argv(tmp, delta=None),
         lambda tmp: _spec_argv(tmp, params=[1]),
+        lambda tmp: _spec_argv(
+            tmp,
+            "file",
+            {"path": _write(tmp, "m2.mtx", "%%MatrixMarket matrix array real general\n2 2\n1 0 0 1\n")},
+            n=7,
+        ),
     ],
     ids=[
         "family-4-similarity",
@@ -230,6 +238,7 @@ def _spec_argv(tmp_path, family="2", params=None, **fields):
         "seed-null",
         "delta-null",
         "params-list",
+        "file-order",
     ],
 )
 def test_experiment_invalid_instance_exit_code(tmp_path, capsys, which):
@@ -294,6 +303,51 @@ def test_memory_error_exit_code(one_by_one, tmp_path, capsys, monkeypatch, comma
     assert captured.err == "error: Unable to allocate 22.4 GiB\n"
     assert captured.out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+@pytest.mark.parametrize(
+    "exc, code, error",
+    [
+        (NearHardCase(1.5e-3, theta_min=-1.0), 3, "near_hard_case"),
+        (NoConvergence("secular iteration budget (50) exhausted"), 4, "no_convergence"),
+    ],
+    ids=["near-hard", "no-convergence"],
+)
+def test_solver_exception_exit_code(
+    one_by_one, tmp_path, capsys, monkeypatch, command, exc, code, error
+):
+    def raise_(*args, **kwargs):
+        raise exc
+
+    out_dir = tmp_path / "out"
+    if command == "solve":
+        monkeypatch.setattr("trslab.cli.gltr_solve", raise_)
+        argv = ["solve", one_by_one[0], "--gradient", one_by_one[1]]
+        argv += ["--solution-out", str(out_dir / "s.txt")]
+    else:
+        monkeypatch.setattr("trslab.cli.ex.run_experiment", raise_)
+        argv = ["experiment", "1a", "--n", "50", "--out", str(out_dir)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"error": error, "detail": str(exc)}
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_unwritable_output_path_exit_code(one_by_one, tmp_path, capsys, command):
+    taken = _write(tmp_path, "taken", "a file, not a directory\n")
+    if command == "solve":
+        argv = ["solve", one_by_one[0], "--gradient", one_by_one[1]]
+        argv += ["--solution-out", str(tmp_path / "missing" / "s.txt")]
+    else:
+        argv = ["experiment", "1a", "--n", "50", "--out", taken]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_solve_writes_solution_and_verifies(one_by_one, tmp_path, capsys):

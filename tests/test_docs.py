@@ -1,6 +1,9 @@
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+from trslab import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,3 +43,14 @@ def test_library_quickstart_runs(capsys):
     exec(compile(block, "README.md quickstart", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
+
+
+def test_command_line_examples_parse():
+    # a removed or renamed flag in the README's examples is an argparse error
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words for words in commands if words and words[0] == "trslab"]
+    assert len(commands) == 6
+    for words in commands:
+        cli._build_parser().parse_args(words[1:])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trslab import mmio
+from trslab.linalg import SymmetricLinearOperator
 
 
 def _write(tmp_path, name, text):
@@ -65,6 +66,38 @@ def test_array_format(tmp_path):
     np.testing.assert_array_equal(dense, [[2.0, 1.0], [1.0, 3.0]])
 
 
+def test_general_array_matches_coordinate(tmp_path):
+    # column-major values, two to a line, of a 3 x 3 symmetric matrix
+    array = _write(
+        tmp_path,
+        "ga.mtx",
+        "%%MatrixMarket matrix array real general\n3 3\n2.0 -1.0\n0.0 -1.0\n4.0 0.5\n0.0 0.5\n1.0\n",
+    )
+    coordinate = _write(
+        tmp_path,
+        "gc.mtx",
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n"
+        "1 1 2.0\n2 1 -1.0\n2 2 4.0\n3 2 0.5\n3 3 1.0\n",
+    )
+    dense = []
+    for path in (array, coordinate):
+        n, rows, cols, vals = mmio.read_matrix_market(path)
+        A = SymmetricLinearOperator.from_triplets(n, rows, cols, vals)
+        dense.append(np.column_stack([A.apply(e) for e in np.eye(n)]))
+    assert dense[0].tobytes() == dense[1].tobytes()
+    np.testing.assert_array_equal(dense[0], [[2.0, -1.0, 0.0], [-1.0, 4.0, 0.5], [0.0, 0.5, 1.0]])
+
+
+def test_general_array_requires_symmetry(tmp_path):
+    # a[1, 0] = 5.0 on line 4 has no mirror: its value comes first in the file
+    path = _write(
+        tmp_path, "ga.mtx", "%%MatrixMarket matrix array real general\n2 2\n1.0\n5.0\n0.0\n1.0\n"
+    )
+    with pytest.raises(mmio.ParseError, match=r"ga.mtx:4: .*not symmetric") as info:
+        mmio.read_matrix_market(path)
+    assert info.value.line_no == 4
+
+
 def test_symmetric_array_lists_the_lower_triangle_by_columns(tmp_path):
     n = 6
     values = np.random.default_rng(2).standard_normal(n * (n + 1) // 2)
@@ -105,6 +138,8 @@ def test_error_carries_line_number(tmp_path):
     [
         "%%MatrixMarket matrix coordinate complex symmetric\n1 1 1\n1 1 1.0\n",
         "%%MatrixMarket vector coordinate real symmetric\n1 1 1\n1 1 1.0\n",
+        "%%MatrixMarket matrix sparse real symmetric\n1 1 1\n1 1 1.0\n",
+        "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
         "not a header\n",
         "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n",
         "%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n",

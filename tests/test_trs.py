@@ -141,6 +141,36 @@ def test_near_hard_probe_second_try(monkeypatch):
     assert abs(exc.value.gap - (10.0 - np.linalg.norm(h))) <= 1e-12
 
 
+def test_secular_newton_bisects_above_an_indefinite_iterate(monkeypatch):
+    # T + 0.5 I has the pivot -0.5: the iterate becomes the lower end of the
+    # bracket and the next lam is the bracket's midpoint
+    T = la.SymmetricTridiagonal([-1.0, 2.0], [0.5])
+    factored = []
+
+    def spy(T, lam, y0):
+        factored.append(lam)
+        return la.ldl_shifted_e1(T, lam, y0)
+
+    monkeypatch.setattr(trs, "ldl_shifted_e1", spy)
+    sol = trs._secular_newton(T, 1.0, 0.5, 0.0, 10.0, 0.5, 1e-12)
+    assert factored[:2] == [0.5, 5.25]
+    assert sol.secular_iterations == len(factored) + 1
+    dense = trs.solve_trs_dense(T.to_dense(), np.array([1.0, 0.0]), 0.5, tol=1e-14)
+    assert sol.lam == pytest.approx(dense.lam, rel=1e-12)
+    assert np.linalg.norm(sol.h) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_secular_newton_pinched_short_of_delta_is_near_hard():
+    # e1 is decoupled from the lowest eigenvalue 1, so ||h(lam)|| = 1/(2 + lam)
+    # stays below delta = 5 on the whole bracket (-1, 10]: the bracket pinches
+    # from above onto -theta_min without an iterate past delta
+    T = la.SymmetricTridiagonal([2.0, 1.0], [0.0])
+    with pytest.raises(trs.NearHardCase) as exc:
+        trs._secular_newton(T, 1.0, 5.0, -1.0, 10.0, 5.0, 1e-8, theta_min=1.0)
+    assert exc.value.gap == pytest.approx(4.0, abs=1e-7)
+    assert exc.value.theta_min == 1.0
+
+
 def test_dense_oracle_cap():
     with pytest.raises(ValueError):
         trs.solve_trs_dense(np.eye(501), np.ones(501), 1.0)
