@@ -154,3 +154,39 @@ def gltr_solve(A, g, delta, resid_tol=1e-13, k_max=300):
         termination=termination,
         factorization=fact.trimmed(),
     )
+
+
+def gltr_prefix(run, resid_tol, k_max):
+    """The GltrResult that gltr_solve(A, g, delta, resid_tol, k_max) returns,
+    read off `run`, a gltr_solve result on the same (A, g, delta) that ran
+    further; None when `run` stopped first.
+
+    The Krylov spaces are nested and each step depends only on the steps
+    before it, so a run at a tighter tolerance or a larger k_max passes
+    through the same records, bitwise.  gltr_solve's stopping tests apply in
+    its order: breakdown at the run's last record, then resid_formula <=
+    resid_tol, then k == k_max.  The factorization is the run's leading one
+    (views of its arrays) and s is formed from its basis as gltr_solve forms
+    it.  Raises ValueError if `check_budget` rejects k_max or resid_tol.
+    """
+    check_budget(k_max, resid_tol)
+    last = run.history[-1].k
+    for rec in run.history:
+        if rec.k == last and run.termination == BREAKDOWN:
+            termination = BREAKDOWN
+        elif rec.resid_formula <= resid_tol:
+            termination = RESIDUAL_TOL
+        elif rec.k == k_max:
+            termination = K_MAX
+        else:
+            continue
+        fact = run.factorization.leading(rec.k + 1)
+        return GltrResult(
+            history=run.history[: rec.k + 1],
+            lam=rec.lam,
+            s=fact.basis @ rec.h,
+            q=rec.q,
+            termination=termination,
+            factorization=fact,
+        )
+    return None

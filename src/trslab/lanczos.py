@@ -159,6 +159,39 @@ class LanczosFactorization:
             _store=None,
         )
 
+    def leading(self, order):
+        """The factorization of this run's first `order` steps, as a run that
+        stopped there would return it, trimmed.
+
+        Its basis is the first `order` columns, T is the leading block, and
+        beta_next and q_{k+1} are the next off-diagonal entry and column; they
+        are views, not copies.  The row maxima are those of its own rows, the
+        last closed by beta_next, so extend_lanczos on it matches a fresh
+        longer run entrywise.  Returns self.trimmed() at this run's order.
+        """
+        if not 1 <= order <= self.tridiag.order:
+            raise ValueError(f"order must lie in 1..{self.tridiag.order}, got {order!r}")
+        if order == self.tridiag.order:
+            return self.trimmed()
+        T = self.tridiag.leading(order)
+        # each row's (|d_i|, |e_{i-1}|, |e_i|), summed in _close_row's orders
+        d, right = np.abs(T.diag), np.abs(self.tridiag.offdiag[:order])
+        left = np.concatenate(([0.0], right[:-1]))
+        row_max = (
+            max(_NO_ROWS[0], float((d + left + right).max())),
+            max(_NO_ROWS[1], float((d + right + left).max())),
+        )
+        return LanczosFactorization(
+            self.basis[:, :order],
+            T,
+            self.beta0,
+            float(self.tridiag.offdiag[order - 1]),
+            False,
+            self.basis[:, order],
+            None,
+            row_max,
+        )
+
 
 def _close_row(row_max, delta, left, beta):
     """The running row maxima (Gershgorin, inf_norm) of T with its last row,

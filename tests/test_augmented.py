@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trslab import augmented as aug
+from trslab import experiments as ex
 from trslab import linalg as la
 from trslab import trs
 from trslab.gltr import gltr_solve
@@ -88,6 +89,68 @@ def test_eigpair_verification_rejects_wrong_multiplier():
     T = la.SymmetricTridiagonal([2.0], [])
     with pytest.raises(aug.VerificationFailed):
         aug.eigpair_from_trs(T, 2.5, np.array([-1.0]), beta0=4.0, delta=1.0)
+
+
+def _dense_pair_residual(T, beta0, delta, z1, z2, mu):
+    # the route the structured check replaced: assemble M_k and multiply
+    mk = aug.assemble_projected(T, beta0, delta)
+    z = np.concatenate([z1, z2])
+    return float(np.linalg.norm(mk @ z - mu * z)), float(np.linalg.norm(mk, axis=0).max())
+
+
+def _random_boundary_trs(rng, order):
+    T = la.SymmetricTridiagonal(rng.uniform(-2.0, 1.0, order), rng.uniform(-1.0, 1.0, order - 1))
+    beta0, delta = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.02, 0.05))
+    sol = trs.solve_trs_tridiagonal(T, beta0, delta)
+    assert sol.case == trs.BOUNDARY
+    return T, beta0, delta, sol
+
+
+def _assert_structured_matches_dense(T, beta0, delta, z1, z2, mu):
+    resid, col_norm = aug._pair_residual(T, beta0, delta, z1, z2, mu)
+    dense_resid, dense_col_norm = _dense_pair_residual(T, beta0, delta, z1, z2, mu)
+    assert abs(col_norm - dense_col_norm) <= 1e-13 * dense_col_norm
+    # at an eigenpair both residuals are rounding noise, on M_k's scale
+    assert abs(resid - dense_resid) <= 1e-13 * max(dense_resid, dense_col_norm)
+
+
+def test_structured_eigpair_check_matches_dense_assembly():
+    rng = np.random.default_rng(41)
+    for order in range(1, 41):
+        T, beta0, delta, sol = _random_boundary_trs(rng, order)
+        pair = aug.eigpair_from_trs(T, sol.lam, sol.h, beta0=beta0, delta=delta)
+        _assert_structured_matches_dense(T, beta0, delta, pair.z1, pair.z2, sol.lam)
+        # off an eigenpair the residual is O(1) and agrees relative to itself
+        z1, z2 = rng.standard_normal(order), rng.standard_normal(order)
+        mu = float(rng.uniform(-2.0, 2.0))
+        resid, _ = aug._pair_residual(T, beta0, delta, z1, z2, mu)
+        dense_resid, _ = _dense_pair_residual(T, beta0, delta, z1, z2, mu)
+        assert abs(resid - dense_resid) <= 1e-13 * dense_resid
+
+
+def test_structured_eigpair_check_matches_dense_at_every_checkpoint():
+    res = ex.run_experiment(ex.ProblemSpec(family="1a", n=1000, seed=3))
+    beta0, delta = res.summary["beta0"], res.spec.delta
+    tridiag = res.run.factorization.tridiag
+    last_k = res.run.history[-1].k
+    checkpoints = [
+        rec for rec in res.run.history if rec.k % ex.CHECKPOINT_EVERY == 0 or rec.k == last_k
+    ]
+    assert len(checkpoints) >= 5
+    for rec in checkpoints:
+        assert rec.case == trs.BOUNDARY
+        t_k = tridiag.leading(rec.k + 1)
+        pair = aug.eigpair_from_trs(t_k, rec.lam, rec.h, beta0=beta0, delta=delta)
+        _assert_structured_matches_dense(t_k, beta0, delta, pair.z1, pair.z2, rec.lam)
+
+
+@pytest.mark.parametrize("order", [6, 12, 25, 40])
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_eigpair_verification_rejects_perturbed_multiplier(order, shift):
+    T, beta0, delta, sol = _random_boundary_trs(np.random.default_rng(order), order)
+    aug.eigpair_from_trs(T, sol.lam, sol.h, beta0=beta0, delta=delta)
+    with pytest.raises(aug.VerificationFailed):
+        aug.eigpair_from_trs(T, sol.lam + shift, sol.h, beta0=beta0, delta=delta)
 
 
 def test_recover_solution_homogeneity_and_hard_signal():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -222,6 +223,18 @@ def _spec_argv(tmp_path, family="2", params=None, **fields):
             {"path": _write(tmp, "m2.mtx", "%%MatrixMarket matrix array real general\n2 2\n1 0 0 1\n")},
             n=7,
         ),
+        # open() would take an integer path as a file descriptor
+        lambda tmp: _spec_argv(tmp, "file", {"path": 0}),
+        lambda tmp: _spec_argv(tmp, "file", {"path": True}),
+        lambda tmp: _spec_argv(tmp, "file", {"path": 1.5}),
+        lambda tmp: _spec_argv(
+            tmp,
+            "file",
+            {
+                "path": _write(tmp, "m1.mtx", "%%MatrixMarket matrix array real general\n1 1\n2\n"),
+                "gradient_path": 0,
+            },
+        ),
     ],
     ids=[
         "family-4-similarity",
@@ -239,13 +252,30 @@ def _spec_argv(tmp_path, family="2", params=None, **fields):
         "delta-null",
         "params-list",
         "file-order",
+        "path-0",
+        "path-true",
+        "path-1.5",
+        "gradient-path-0",
     ],
 )
 def test_experiment_invalid_instance_exit_code(tmp_path, capsys, which):
     # errors in the spec's fields, and those that only generate finds once
-    # the spec itself has parsed
+    # the spec itself has parsed; stdin, a file here, stays open and unread,
+    # and stdout stays open
     out_dir = tmp_path / "out"
-    code = main(["experiment"] + which(tmp_path) + ["--out", str(out_dir)])
+    stdin = tmp_path / "stdin.txt"
+    stdin.write_text("1 1\n2\n")
+    saved = os.dup(0)
+    fd = os.open(stdin, os.O_RDONLY)
+    try:
+        os.dup2(fd, 0)
+        code = main(["experiment"] + which(tmp_path) + ["--out", str(out_dir)])
+        assert os.lseek(0, 0, os.SEEK_CUR) == 0
+        os.fstat(1)
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+        os.close(fd)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")

@@ -7,6 +7,8 @@ from trslab import experiments as ex
 from trslab import linalg as la
 from trslab import trs
 from trslab.augmented import AugmentedOperator
+from trslab.gltr import BREAKDOWN, K_MAX, RESIDUAL_TOL
+from trslab.lanczos import extend_lanczos, lanczos_run
 from trslab.trs import check_kkt
 
 
@@ -314,3 +316,69 @@ def test_file_family_matrix_market(tmp_path):
     sol = trs.solve_trs_dense(dense, g, 1.0, tol=1e-13)
     run = ex.reference_solution(A, g, 1.0)
     assert run.lambda_opt == pytest.approx(sol.lam, abs=1e-9)
+
+
+def _tridiagonal_file_spec(directory, n):
+    # T with diagonal cos(0), ..., cos(n - 1) and off-diagonal 0.3, indefinite
+    lines = [f"{i} {i} {float(np.cos(i - 1))!r}" for i in range(1, n + 1)]
+    lines += [f"{i + 1} {i} 0.3" for i in range(1, n)]
+    header = f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {len(lines)}\n"
+    path = directory / f"tridiagonal{n}.mtx"
+    path.write_text(header + "\n".join(lines) + "\n")
+    return ex.ProblemSpec(family="file", n=n, seed=3, params={"path": str(path)})
+
+
+@pytest.mark.parametrize(
+    "which, kwargs, termination, solves",
+    [
+        ("4", {}, RESIDUAL_TOL, 1),
+        ("file-60", {}, RESIDUAL_TOL, 1),
+        ("4", {"k_max": 10}, K_MAX, 1),
+        ("file-12", {}, BREAKDOWN, 1),
+        ("4", {"resid_tol": 0.0, "k_max": 60}, K_MAX, 2),
+    ],
+    ids=["family-4", "file", "k_max", "breakdown", "past-the-reference"],
+)
+def test_measured_run_is_a_fresh_solve_bitwise(
+    tmp_path, monkeypatch, assert_same_result, which, kwargs, termination, solves
+):
+    # on an operator without a known spectrum the measured run is read off the
+    # reference's REFERENCE_TOL run, and solved again only when it would go
+    # further; either way it is what a fresh gltr_solve returns
+    if which == "4":
+        spec = ex.default_spec("4", n=300, seed=2)
+    else:
+        spec = _tridiagonal_file_spec(tmp_path, int(which.split("-")[1]))
+    solve, calls = ex.gltr_solve, []
+
+    def counted(*args, **kw):
+        calls.append(kw["resid_tol"])
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(ex, "gltr_solve", counted)
+    result = ex.run_experiment(spec, **kwargs)
+    assert len(calls) == solves and calls[0] == ex.REFERENCE_TOL
+    assert result.run.termination == termination
+    A, g = ex.generate(spec)
+    budget = {"resid_tol": 1e-13, "k_max": 300, **kwargs}
+    assert_same_result(result.run, solve(A, g, spec.delta, **budget))
+
+    f = result.run.factorization
+    if f.broken_down:
+        return
+    longer, fresh = extend_lanczos(f, A, 5), lanczos_run(A, g, f.k + 5)
+    assert np.array_equal(longer.basis, fresh.basis)
+    assert np.array_equal(longer.tridiag.diag, fresh.tridiag.diag)
+    assert np.array_equal(longer.tridiag.offdiag, fresh.tridiag.offdiag)
+    assert longer.beta_next == fresh.beta_next
+    assert np.array_equal(longer.next_vector, fresh.next_vector)
+
+
+def test_reference_keeps_its_krylov_run_only():
+    spectral = ex.reference_solution(*ex.generate(ex.ProblemSpec("2", 200, 1.0, 4)), 1.0)
+    assert spectral.run is None
+    A, g = ex.generate(ex.ProblemSpec("4", 200, 1.0, 4))
+    ref = ex.reference_solution(A, g, 1.0)
+    assert ref.run.termination == RESIDUAL_TOL
+    assert (ref.run.lam, ref.run.q) == (ref.lambda_opt, ref.q_opt)
+    assert np.array_equal(ref.run.s, ref.s_opt)

@@ -10,6 +10,7 @@ from trslab.gltr import (
     RESIDUAL_TOL,
     ZeroGradient,
     explicit_residual,
+    gltr_prefix,
     gltr_solve,
     objective_via_tridiagonal,
 )
@@ -199,6 +200,34 @@ def test_records_carry_h_and_its_residual_formula(d, delta, kwargs, termination)
         assert rec.h.size == rec.k + 1
         assert rec.resid_formula == beta * abs(rec.h[-1])
     assert np.array_equal(res.s, f.basis @ res.history[-1].h)
+
+
+def test_prefix_of_a_longer_run_is_the_shorter_solve_bitwise(assert_same_result):
+    # nested Krylov spaces: a run to a tighter tolerance or a larger k_max
+    # passes through every record of the shorter one
+    rng = np.random.default_rng(31)
+    cases = [
+        (diag_op(rng.standard_normal(400)), 1.0, 0.0, 60),
+        (diag_op(np.repeat([-2.0, 0.3, 1.1, 4.5, 6.0], 20)), 1.0, 0.0, 60),
+        (diag_op(np.linspace(1.0, 2.0, 200)), 100.0, 1e-15, 80),
+    ]
+    seen = set()  # the terminations read off, and None where the long run stopped first
+    for A, delta, long_tol, long_k_max in cases:
+        g = rng.standard_normal(A.dim)
+        long = gltr_solve(A, g, delta, resid_tol=long_tol, k_max=long_k_max)
+        last = long.history[-1].k
+        for resid_tol in (1e-4, 1e-10, 1e-13, long_tol):
+            for k_max in (0, 3, last, last + 1, 300):
+                prefix = gltr_prefix(long, resid_tol, k_max)
+                fresh = gltr_solve(A, g, delta, resid_tol=resid_tol, k_max=k_max)
+                seen.add(fresh.termination if prefix is not None else None)
+                if prefix is None:
+                    assert fresh.history[-1].k > last
+                else:
+                    assert_same_result(prefix, fresh)
+    assert seen == {BREAKDOWN, RESIDUAL_TOL, K_MAX, None}
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        gltr_prefix(long, 1e-13, -1)
 
 
 def test_objective_closed_form_one_by_one():

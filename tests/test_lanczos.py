@@ -93,6 +93,34 @@ def test_extending_one_factorization_twice_keeps_both_values():
     _assert_same_factorization(extend_lanczos(first, A, 2), second)
 
 
+def test_leading_is_the_shorter_run_and_resumes_bitwise():
+    rng = np.random.default_rng(23)
+    A = diag_op(rng.standard_normal(300) * 10.0 ** rng.uniform(-3, 3, 300))
+    g = rng.standard_normal(300)
+    full = lanczos_run(A, g, 30)
+    for order in (1, 2, 7, 30, 31):
+        lead = full.leading(order)
+        fresh = lanczos_run(A, g, order - 1)
+        _assert_same_factorization(lead, fresh)
+        assert (lead.beta0, lead.broken_down) == (fresh.beta0, fresh.broken_down)
+        assert lead._row_max == fresh._row_max
+        assert lead.tridiag.inf_norm() == fresh.tridiag.inf_norm()
+        assert lead._store is None
+        _assert_same_factorization(extend_lanczos(lead, A, 5), lanczos_run(A, g, order + 4))
+    for order in (0, 32):
+        with pytest.raises(ValueError, match="order must lie in 1..31"):
+            full.leading(order)
+
+    # a run that broke down: only its full order keeps the breakdown
+    A = diag_op(np.repeat([-1.0, 0.5, 2.0, 3.0, 7.0], 4))
+    broken = lanczos_run(A, np.ones(20) + np.arange(20.0), 10)
+    assert broken.broken_down and broken.k == 4
+    assert broken.leading(5).broken_down
+    lead, fresh = broken.leading(3), lanczos_run(A, np.ones(20) + np.arange(20.0), 2)
+    _assert_same_factorization(lead, fresh)
+    assert not lead.broken_down and lead._row_max == fresh._row_max
+
+
 def test_basis_is_read_only():
     # three distinct eigenvalues: breakdown after 3 of the 11 reserved columns
     A = diag_op(np.repeat([1.0, 2.0, 3.0], 10))
