@@ -5,6 +5,7 @@ from trslab import lanczos
 from trslab import linalg as la
 from trslab.lanczos import (
     AlreadyBrokenDown,
+    LanczosFactorization,
     _NO_ROWS,
     ZeroStartVector,
     _close_row,
@@ -469,7 +470,8 @@ def test_breakdown_scale_matches_row_loop():
         return _close_row(row_max, diag[-1], off[-1] if off else 0.0, beta)
 
     rng = np.random.default_rng(17)
-    cases = [([0.0], [], 0.0), ([-2.0], [], 1e-320), ([1.0, -3.0], [0.5], 2.0)]
+    cases = [([0.0], [], 0.0), ([0.0, 0.0], [0.0], 0.0), ([-2.0], [], 1e-320)]
+    cases.append(([1.0, -3.0], [0.5], 2.0))
     for _ in range(300):
         m = int(rng.integers(1, 40))
         exponents = rng.uniform(-12, 12, 2 * m)
@@ -482,6 +484,13 @@ def test_breakdown_scale_matches_row_loop():
         # beta closing the last row is the inf-norm of T bordered by [beta, 0]
         bordered = la.SymmetricTridiagonal(diag + [0.0], off + [beta])
         assert inf_norm == bordered.inf_norm()
+        # a leading factorization carries the maxima of its own rows
+        whole = LanczosFactorization(
+            np.zeros((1, len(diag))), la.SymmetricTridiagonal(diag, off), 1.0, beta, False, None
+        )
+        for order in range(1, len(diag)):
+            want = running_maxima(diag[:order], off[: order - 1], abs(off[order - 1]))
+            assert whole.leading(order)._row_max == want
 
     # resumed from a branch: extend_lanczos copies base into a new store, and
     # the maxima it carries over match a fresh run's
