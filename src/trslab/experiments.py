@@ -184,11 +184,23 @@ def _householder_similarity(d, reflectors):
     )
 
 
+def _unit_gaussian(rng, n):
+    g = rng.standard_normal(n)
+    g /= float(np.linalg.norm(g))
+    return g
+
+
 def generate(spec):
-    """Build (A, g) for a problem spec; g is a seeded unit Gaussian vector."""
+    """Build (A, g) for a problem spec; g is a seeded unit Gaussian vector.
+
+    Each family takes its own params out of spec.params, and any left over
+    are rejected before the O(n^2) work of family 4 or a file read.
+    """
     rng = np.random.default_rng(spec.seed)
     params = dict(spec.params)
     similarity = bool(params.pop("orthogonal_similarity", False))
+    if similarity and spec.family in ("4", "file"):
+        raise InvalidSpec(f"orthogonal_similarity does not apply to family {spec.family!r}")
     n = spec.n
 
     if spec.family == "1a":
@@ -208,24 +220,7 @@ def generate(spec):
         if not 0.0 < rho <= 1.0:
             raise InvalidSpec("rho must lie in (0, 1]")
         d = _spectrum_strakos(n, alpha1, alpha_n, rho)
-    elif spec.family == "4":
-        if similarity:
-            raise InvalidSpec("orthogonal_similarity does not apply to family 4")
-        G = rng.standard_normal((n, n))
-        dense = G + G.T
-        g = rng.standard_normal(n)
-        g /= float(np.linalg.norm(g))
-        # G + G' is exactly symmetric, and so is its quotient by the scale, which
-        # from_dense checks; the estimate needs only the products
-        lo, hi = estimate_extremal_eigenvalues(SymmetricLinearOperator(n, lambda v: dense @ v))
-        if params:
-            raise InvalidSpec(f"unknown params {sorted(params)} for family 4")
-        scale = max(abs(lo), abs(hi))
-        A = SymmetricLinearOperator.from_dense(dense / scale, extremes=(lo / scale, hi / scale))
-        return A, g
     elif spec.family == "file":
-        if similarity:
-            raise InvalidSpec("orthogonal_similarity does not apply to family 'file'")
         path = params.pop("path", None)
         if path is None:
             raise InvalidSpec("family 'file' requires params['path']")
@@ -234,25 +229,28 @@ def generate(spec):
             # open() takes an integer as a file descriptor: 0 would read stdin
             if value is not None and not isinstance(value, str):
                 raise InvalidSpec(f"params[{key!r}] must be a string, got {value!r}")
+    if params:  # family 4 takes none
+        raise InvalidSpec(f"unknown params {sorted(params)} for family {spec.family!r}")
+
+    if spec.family == "4":
+        G = rng.standard_normal((n, n))
+        dense = G + G.T
+        g = _unit_gaussian(rng, n)
+        # G + G' is exactly symmetric, and so is its quotient by the scale, which
+        # from_dense checks; the estimate needs only the products
+        lo, hi = estimate_extremal_eigenvalues(SymmetricLinearOperator(n, lambda v: dense @ v))
+        scale = max(abs(lo), abs(hi))
+        A = SymmetricLinearOperator.from_dense(dense / scale, extremes=(lo / scale, hi / scale))
+        return A, g
+    if spec.family == "file":
         n_file, rows, cols, vals = read_matrix_market(path)
         A = SymmetricLinearOperator.from_triplets(n_file, rows, cols, vals)
-        if gpath is not None:
-            g = read_vector(gpath)
-            if g.size != n_file:
-                raise InvalidSpec(f"gradient length {g.size} != matrix order {n_file}")
-        else:
-            g = rng.standard_normal(n_file)
-            g /= float(np.linalg.norm(g))
-        if params:
-            raise InvalidSpec(f"unknown params {sorted(params)} for family 'file'")
+        g = _unit_gaussian(rng, n_file) if gpath is None else read_vector(gpath)
+        if g.size != n_file:
+            raise InvalidSpec(f"gradient length {g.size} != matrix order {n_file}")
         return A, g
-    else:  # pragma: no cover - guarded by ProblemSpec
-        raise InvalidSpec(spec.family)
 
-    if params:
-        raise InvalidSpec(f"unknown params {sorted(params)} for family {spec.family}")
-    g = rng.standard_normal(n)
-    g /= float(np.linalg.norm(g))
+    g = _unit_gaussian(rng, n)
     if similarity:
         if n > 2000:
             raise InvalidSpec("orthogonal_similarity is limited to n <= 2000")

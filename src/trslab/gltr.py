@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lanczos import extend_lanczos, lanczos_run
-from .trs import BOUNDARY, solve_trs_tridiagonal
+from .trs import BOUNDARY, explicit_residual, solve_trs_tridiagonal  # noqa: F401  re-exported
 
 RESIDUAL_TOL = "residual_tol"
 BREAKDOWN = "breakdown"
@@ -61,12 +61,6 @@ def objective_via_tridiagonal(h, lam, beta0, delta):
     return 0.5 * beta0 * float(h[0]) - 0.5 * lam * delta * delta
 
 
-def explicit_residual(A, g, lam, s):
-    """||(A + lam I) s + g|| by one operator apply."""
-    s = np.asarray(s, dtype=float)
-    return float(np.linalg.norm(A.apply(s) + lam * s + np.asarray(g, dtype=float)))
-
-
 def check_budget(k_max, resid_tol):
     """Raise ValueError if k_max is negative or resid_tol is not >= 0 (a NaN
     would disable the stopping test)."""
@@ -74,6 +68,29 @@ def check_budget(k_max, resid_tol):
         raise ValueError(f"k_max must be >= 0, got {k_max!r}")
     if not resid_tol >= 0.0:
         raise ValueError(f"resid_tol must be >= 0, got {resid_tol!r}")
+
+
+def _termination(rec, broken_down, resid_tol, k_max):
+    """gltr_solve's stopping rule at record rec, None to go on: breakdown at
+    rec, then resid_formula <= resid_tol, then k == k_max."""
+    if broken_down:
+        return BREAKDOWN
+    if rec.resid_formula <= resid_tol:
+        return RESIDUAL_TOL
+    if rec.k == k_max:
+        return K_MAX
+    return None
+
+
+def _result(history, termination, fact):
+    """The GltrResult ending at history[-1], whose factorization is fact.
+
+    s is formed from fact's basis before it is trimmed: trimming may copy the
+    basis, and a BLAS product can round differently on other alignments.
+    """
+    final = history[-1]
+    s = fact.basis @ final.h
+    return GltrResult(history, final.lam, s, final.q, termination, fact.trimmed())
 
 
 def gltr_solve(A, g, delta, resid_tol=1e-13, k_max=300):
@@ -115,45 +132,19 @@ def gltr_solve(A, g, delta, resid_tol=1e-13, k_max=300):
     for k in range(k_max + 1):
         T = fact.tridiag
         sol = solve_trs_tridiagonal(T, beta0, delta, lam_lower=warm, factors=factors)
-        h = sol.h
-        lam = sol.lam
+        h, lam = sol.h, sol.lam
         if sol.case == BOUNDARY:
             q = objective_via_tridiagonal(h, lam, beta0, delta)
         else:
             q = beta0 * float(h[0]) + 0.5 * float(h @ T.matvec(h))
         resid_formula = fact.beta_next * abs(float(h[-1]))
-        history.append(
-            ConvergenceRecord(
-                k=k,
-                h=h,
-                lam=lam,
-                q=q,
-                resid_formula=resid_formula,
-                case=sol.case,
-                secular_iterations=sol.secular_iterations,
-            )
-        )
+        rec = ConvergenceRecord(k, h, lam, q, resid_formula, sol.case, sol.secular_iterations)
+        history.append(rec)
+        termination = _termination(rec, fact.broken_down, resid_tol, k_max)
+        if termination is not None:
+            return _result(history, termination, fact)
         warm, factors = lam, sol.factors
-        if fact.broken_down:
-            termination = BREAKDOWN
-            break
-        if resid_formula <= resid_tol:
-            termination = RESIDUAL_TOL
-            break
-        if k == k_max:
-            termination = K_MAX
-            break
         fact = extend_lanczos(fact, A, 1)
-
-    final = history[-1]
-    return GltrResult(
-        history=history,
-        lam=final.lam,
-        s=fact.basis @ h,
-        q=final.q,
-        termination=termination,
-        factorization=fact.trimmed(),
-    )
 
 
 def gltr_prefix(run, resid_tol, k_max):
@@ -163,30 +154,18 @@ def gltr_prefix(run, resid_tol, k_max):
 
     The Krylov spaces are nested and each step depends only on the steps
     before it, so a run at a tighter tolerance or a larger k_max passes
-    through the same records, bitwise.  gltr_solve's stopping tests apply in
-    its order: breakdown at the run's last record, then resid_formula <=
-    resid_tol, then k == k_max.  The factorization is the run's leading one
-    (views of its arrays) and s is formed from its basis as gltr_solve forms
-    it.  Raises ValueError if `check_budget` rejects k_max or resid_tol.
+    through the same records, bitwise.  gltr_solve's stopping rule applies to
+    each record, breakdown only at the run's last.  The factorization is the
+    run's leading one (views of its arrays), and s is formed from its basis
+    as gltr_solve forms it.  Raises ValueError if `check_budget` rejects
+    k_max or resid_tol.
     """
     check_budget(k_max, resid_tol)
-    last = run.history[-1].k
+    last = run.history[-1]
     for rec in run.history:
-        if rec.k == last and run.termination == BREAKDOWN:
-            termination = BREAKDOWN
-        elif rec.resid_formula <= resid_tol:
-            termination = RESIDUAL_TOL
-        elif rec.k == k_max:
-            termination = K_MAX
-        else:
-            continue
-        fact = run.factorization.leading(rec.k + 1)
-        return GltrResult(
-            history=run.history[: rec.k + 1],
-            lam=rec.lam,
-            s=fact.basis @ rec.h,
-            q=rec.q,
-            termination=termination,
-            factorization=fact,
-        )
+        broken_down = rec is last and run.factorization.broken_down
+        termination = _termination(rec, broken_down, resid_tol, k_max)
+        if termination is not None:
+            fact = run.factorization.leading(rec.k + 1)
+            return _result(run.history[: rec.k + 1], termination, fact)
     return None

@@ -8,8 +8,9 @@ Gram-Schmidt pass, a second only when the first cancels (Kahan-Parlett
 which all downstream accuracy checks rely on, and most steps read the basis
 twice (Q' r, then Q times the result) rather than four times.  Each new
 entry of T is checked finite once, when it is produced, and a factorization
-carries the running row maxima of T (the breakdown test's Gershgorin scale
-and T's inf-norm), so neither is rebuilt from all rows at every step.
+carries the running maximum of T's absolute row sums, which scales the
+breakdown test and gives T's inf-norm, so it is never rebuilt from all rows
+at every step.
 
 A run writes its basis into one column-major n x capacity store, whose
 capacity is fixed when it is made, and the reorthogonalization works on the
@@ -26,7 +27,7 @@ to a longer fresh run.
 
 Re-entering a run is O(1) Python work beyond the recurrence, so extending
 one step at a time, as gltr does, costs little more than one longer run: a
-factorization carries the row maxima its last step closed, so resuming
+factorization carries the row maximum its last step closed, so resuming
 reads nothing back from T; the store's fill count and capacity say whether
 the value can append in place, with q_{k+1} already in the spare column;
 and a new value is two constructor calls on slices of the store's views.
@@ -58,8 +59,7 @@ import numpy as np
 
 from .linalg import SymmetricLinearOperator, SymmetricTridiagonal, extremal_eig_tridiagonal
 
-_NO_ROWS = (1e-300, 0.0)  # row maxima before any row closes; breakdown scale > 0
-BREAKDOWN_TOL = 1e-12  # a run breaks down once beta_{k+1} <= this * ||T|| (Gershgorin)
+BREAKDOWN_TOL = 1e-12  # breakdown: beta_{k+1} <= this * T's largest row sum (floor 1e-300)
 RESERVE_BYTES = 256 * 2**20  # a capacity hint reserves at most this much basis
 _SQRT2 = math.sqrt(2.0)
 
@@ -126,8 +126,8 @@ class LanczosFactorization:
     broken_down: bool
     next_vector: np.ndarray | None  # q_{k+1}, read-only, kept so the run can be resumed
     _store: _ColumnStore | None = dataclasses.field(default=None, repr=False, compare=False)
-    # maxima (Gershgorin, inf_norm) over the rows of T, the last closed by beta_next
-    _row_max: tuple = dataclasses.field(default=None, repr=False, compare=False)
+    # the largest absolute row sum of T, its last row closed by beta_next
+    _row_max: float = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def k(self):
@@ -165,7 +165,7 @@ class LanczosFactorization:
 
         Its basis is the first `order` columns, T is the leading block, and
         beta_next and q_{k+1} are the next off-diagonal entry and column; they
-        are views, not copies.  The row maxima are those of its own rows, the
+        are views, not copies.  The row maximum is that of its own rows, the
         last closed by beta_next, so extend_lanczos on it matches a fresh
         longer run entrywise.  Returns self.trimmed() at this run's order.
         """
@@ -174,32 +174,21 @@ class LanczosFactorization:
         if order == self.tridiag.order:
             return self.trimmed()
         T = self.tridiag.leading(order)
-        # each row's (|d_i|, |e_{i-1}|, |e_i|), summed in _close_row's orders
-        d, right = np.abs(T.diag), np.abs(self.tridiag.offdiag[:order])
-        left = np.concatenate(([0.0], right[:-1]))
-        row_max = (
-            max(_NO_ROWS[0], float((d + left + right).max())),
-            max(_NO_ROWS[1], float((d + right + left).max())),
-        )
+        right = np.abs(self.tridiag.offdiag[:order])
+        # each row's |d_i| + |e_i| + |e_{i-1}|, in _close_row's order
+        row_max = float((np.abs(T.diag) + right + np.concatenate(([0.0], right[:-1]))).max())
+        beta_next, q_next = float(self.tridiag.offdiag[order - 1]), self.basis[:, order]
         return LanczosFactorization(
-            self.basis[:, :order],
-            T,
-            self.beta0,
-            float(self.tridiag.offdiag[order - 1]),
-            False,
-            self.basis[:, order],
-            None,
-            row_max,
+            self.basis[:, :order], T, self.beta0, beta_next, False, q_next, None, row_max
         )
 
 
 def _close_row(row_max, delta, left, beta):
-    """The running row maxima (Gershgorin, inf_norm) of T with its last row,
-    diagonal entry delta and off-diagonal `left` above it (0.0 in the first
-    row), closed by beta.  Gershgorin rows, the breakdown test's estimate of
-    ||A||, add |d_i| + |e_{i-1}| + |e_i|; inf_norm adds |d_i| + |e_i| + |e_{i-1}|."""
-    d, left, right = abs(delta), abs(left), abs(beta)
-    return max(row_max[0], d + left + right), max(row_max[1], d + right + left)
+    """The running row maximum of T with its last row, diagonal entry delta
+    and off-diagonal `left` above it (0.0 in the first row), closed by beta.
+    A row adds |d_i| + |e_i| + |e_{i-1}|, SymmetricTridiagonal.inf_norm's
+    order, so a row closed inside T sums bitwise as in T's inf-norm."""
+    return max(row_max, abs(delta) + abs(beta) + abs(left))
 
 
 def _reorthogonalize(qmat, r, work):
@@ -233,10 +222,11 @@ def _grow(A, store, row_max, left, order_target):
     off-diagonal entry above its row (0.0 for the first row) and row_max
     covers the rows above it.  The store is mutated in place; returns
     (beta_next, q_next, broken_down, row_max, inf_norm), row_max now covering
-    every row of T, the last closed by beta_next, and inf_norm T's own.  A
-    step writes only into the store's workspace, its T buffers and its next
-    column, never into the array that A.apply returns: an operator may hand
-    back its input or a buffer of its own.
+    every row of T, the last closed by beta_next, and inf_norm T's own, whose
+    last row leaves out beta_next.  A step writes only into the store's
+    workspace, its T buffers and its next column, never into the array that
+    A.apply returns: an operator may hand back its input or a buffer of its
+    own.
     """
     n = store.array.shape[0]
     r, work = store.work
@@ -259,7 +249,8 @@ def _grow(A, store, row_max, left, order_target):
         if not math.isfinite(beta):  # checked once, here
             raise ValueError("nonfinite entries")
         closed = _close_row(row_max, delta, left, beta)
-        if beta <= BREAKDOWN_TOL * closed[0] or j >= n:
+        # the scale is floored here, not in row_max, so T's inf-norm stays exact
+        if beta <= BREAKDOWN_TOL * max(closed, 1e-300) or j >= n:
             q_next, broken = None, True
         elif j == order_target:
             broken = False
@@ -274,7 +265,7 @@ def _grow(A, store, row_max, left, order_target):
             np.divide(r, beta, out=store.claim())
             continue
         # T's inf-norm: row_max covers the rows above the last, whose sum leaves out beta
-        return beta, q_next, broken, closed, max(row_max[1], abs(delta) + abs(left))
+        return beta, q_next, broken, closed, max(row_max, abs(delta) + abs(left))
 
 
 def _assemble(store, beta0, beta_next, q_next, broken, row_max, inf_norm):
@@ -308,7 +299,7 @@ def lanczos_run(A, g, k_max, capacity=None):
     hint = min(capacity or 0, RESERVE_BYTES // (8 * g.size))
     store = _ColumnStore(g.size, min(g.size, max(hint, k_max + 1)))
     np.divide(g, beta0, out=store.claim())
-    grown = _grow(A, store, _NO_ROWS, 0.0, k_max + 1)
+    grown = _grow(A, store, 0.0, 0.0, k_max + 1)
     return _assemble(store, beta0, *grown)
 
 

@@ -72,7 +72,10 @@ def read_matrix_market(path):
     """Read a Matrix Market file into triplets of a symmetric matrix.
 
     Returns (n, rows, cols, values) with both triangles present.  A
-    'general' matrix must be symmetric to within SYM_TOL.
+    'general' matrix must be symmetric to within SYM_TOL.  A 'symmetric'
+    coordinate file gives each off-diagonal position in one triangle only:
+    an entry whose mirror image came earlier would be mirrored onto it and
+    summed twice, so it is a ParseError at its own line.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -97,6 +100,7 @@ def read_matrix_market(path):
     if fmt == "coordinate":
         nrows, ncols, nnz = _read_size(path, size_line, "rows cols nnz")
         ii, jj, vv, line_nos = [], [], [], []
+        upper = {}  # symmetric: off-diagonal position -> whether it came as (i < j)
         for line_no, text in lines:
             parts = text.split()
             if len(parts) != 3:
@@ -108,6 +112,10 @@ def read_matrix_market(path):
             v = _real(path, line_no, parts[2])
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 raise ParseError(path, line_no, f"index ({i}, {j}) out of range")
+            if symmetry == "symmetric" and i != j:
+                if upper.setdefault((min(i, j), max(i, j)), i < j) != (i < j):
+                    message = f"entry ({i}, {j}) mirrors an earlier ({j}, {i})"
+                    raise ParseError(path, line_no, message)
             ii.append(i - 1)
             jj.append(j - 1)
             vv.append(v)

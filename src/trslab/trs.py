@@ -331,6 +331,12 @@ def solve_trs_dense(A, g, delta, tol=1e-13):
     return TrsSolution(lam, s, case, iterations)
 
 
+def explicit_residual(A, g, lam, s):
+    """||(A + lam I) s + g|| by one operator apply."""
+    s = np.asarray(s, dtype=float)
+    return float(np.linalg.norm(A.apply(s) + lam * s + np.asarray(g, dtype=float)))
+
+
 def check_kkt(A, g, delta, lam, s, tol=1e-10):
     """Evaluate the four optimality residuals of a candidate (lam, s).
 
@@ -342,7 +348,7 @@ def check_kkt(A, g, delta, lam, s, tol=1e-10):
     s = np.asarray(s, dtype=float)
     ns = float(np.linalg.norm(s))
     feasibility = delta - ns
-    stationarity = float(np.linalg.norm(A.apply(s) + lam * s + g))
+    stationarity = explicit_residual(A, g, lam, s)
     complementarity = lam * feasibility
     theta_min = (A.extremes or estimate_extremal_eigenvalues(A))[0]
     margin = theta_min + lam

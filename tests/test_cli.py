@@ -67,6 +67,21 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     assert err.startswith("error:") and ":2:" in err
 
 
+def test_solve_rejects_an_entry_given_in_both_triangles(tmp_path, capsys):
+    # symmetric storage lists each off-diagonal entry once; reading both
+    # (2, 1) and (1, 2) would double it
+    mtx = _write(
+        tmp_path,
+        "both.mtx",
+        "%%MatrixMarket matrix coordinate real symmetric\n2 2 4\n"
+        "1 1 1.0\n2 1 0.5\n2 2 1.0\n1 2 0.5\n",
+    )
+    code = main(["solve", mtx, "--seed-gradient", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "both.mtx:6:" in captured.err
+
+
 def test_solve_near_hard_exit_code(tmp_path, capsys):
     mtx = _write(
         tmp_path,

@@ -6,7 +6,6 @@ from trslab import linalg as la
 from trslab.lanczos import (
     AlreadyBrokenDown,
     LanczosFactorization,
-    _NO_ROWS,
     ZeroStartVector,
     _close_row,
     _reorthogonalize,
@@ -59,6 +58,16 @@ def _assert_same_factorization(a, b):
     assert np.array_equal(a.next_vector, b.next_vector)
 
 
+def _assert_carried_row_maximum(f):
+    # the carried maximum is T's largest absolute row sum with its last row
+    # closed by beta_next: the inf-norm of T bordered by [beta_next, 0]
+    T = f.tridiag
+    bordered = la.SymmetricTridiagonal(np.append(T.diag, 0.0), np.append(T.offdiag, f.beta_next))
+    assert f._row_max == bordered.inf_norm()
+    # and T's carried inf-norm is the one recomputed from all its rows
+    assert T.inf_norm() == la.SymmetricTridiagonal(T.diag.copy(), T.offdiag.copy()).inf_norm()
+
+
 def test_extension_matches_longer_run_bitwise():
     rng = np.random.default_rng(7)
     A = diag_op(rng.standard_normal(500))
@@ -106,6 +115,7 @@ def test_leading_is_the_shorter_run_and_resumes_bitwise():
         assert (lead.beta0, lead.broken_down) == (fresh.beta0, fresh.broken_down)
         assert lead._row_max == fresh._row_max
         assert lead.tridiag.inf_norm() == fresh.tridiag.inf_norm()
+        _assert_carried_row_maximum(lead)
         assert lead._store is None
         _assert_same_factorization(extend_lanczos(lead, A, 5), lanczos_run(A, g, order + 4))
     for order in (0, 32):
@@ -229,6 +239,7 @@ def test_one_step_extensions_match_fresh_runs_bitwise():
         _assert_same_factorization(grown, fresh)
         assert grown._row_max == fresh._row_max
         assert grown.tridiag.inf_norm() == fresh.tridiag.inf_norm()
+        _assert_carried_row_maximum(grown)
         return grown
 
     # the newest value with a spare column: q_{k+1} is claimed where it lies
@@ -453,18 +464,19 @@ def test_breakdown_at_distinct_eigenvalue_count(m):
 
 
 def test_breakdown_scale_matches_row_loop():
-    # the per-row loop that the running maxima replaced: same additions, same order
+    # a per-row loop over the closed rows, each summed |d_i| + |e_i| + |e_{i-1}|,
+    # the order of SymmetricTridiagonal.inf_norm, with beta closing the last
     def row_loop(diag, off, beta):
-        scale = 1e-300
+        scale = 0.0
         for i in range(len(diag)):
             left = abs(off[i - 1]) if i > 0 else 0.0
             right = abs(off[i]) if i < len(off) else beta
-            scale = max(scale, abs(diag[i]) + left + right)
+            scale = max(scale, abs(diag[i]) + right + left)
         return scale
 
-    def running_maxima(diag, off, beta):
+    def running_maximum(diag, off, beta):
         # the rows closed one off-diagonal at a time, as _grow closes them
-        row_max = _NO_ROWS
+        row_max = 0.0
         for i, edge in enumerate(off):
             row_max = _close_row(row_max, diag[i], off[i - 1] if i else 0.0, edge)
         return _close_row(row_max, diag[-1], off[-1] if off else 0.0, beta)
@@ -479,36 +491,43 @@ def test_breakdown_scale_matches_row_loop():
         # beta is a norm, so never negative
         cases.append((values[:m].tolist(), values[m : 2 * m - 1].tolist(), abs(float(values[-1]))))
     for diag, off, beta in cases:
-        scale, inf_norm = running_maxima(diag, off, beta)
-        assert scale == row_loop(diag, off, beta)
+        row_max = running_maximum(diag, off, beta)
+        assert row_max == row_loop(diag, off, beta)
         # beta closing the last row is the inf-norm of T bordered by [beta, 0]
-        bordered = la.SymmetricTridiagonal(diag + [0.0], off + [beta])
-        assert inf_norm == bordered.inf_norm()
-        # a leading factorization carries the maxima of its own rows
+        assert row_max == la.SymmetricTridiagonal(diag + [0.0], off + [beta]).inf_norm()
+        # a leading factorization carries the maximum of its own rows
         whole = LanczosFactorization(
             np.zeros((1, len(diag))), la.SymmetricTridiagonal(diag, off), 1.0, beta, False, None
         )
         for order in range(1, len(diag)):
-            want = running_maxima(diag[:order], off[: order - 1], abs(off[order - 1]))
-            assert whole.leading(order)._row_max == want
+            lead = whole.leading(order)
+            assert lead._row_max == row_loop(diag[:order], off[: order - 1], abs(off[order - 1]))
+            _assert_carried_row_maximum(lead)
 
-    # resumed from a branch: extend_lanczos copies base into a new store, and
-    # the maxima it carries over match a fresh run's
+    # after a run, and resumed from a branch: extend_lanczos copies base into
+    # a new store, and the maximum it carries over matches a fresh run's
     rng = np.random.default_rng(18)
     A = diag_op(rng.standard_normal(300) * 10.0 ** rng.uniform(-3, 3, 300))
     g = rng.standard_normal(300)
     base = lanczos_run(A, g, 8)
+    _assert_carried_row_maximum(base)
     extend_lanczos(base, A, 3)
     branched = extend_lanczos(base, A, 12)
     assert branched._store is not base._store
     fresh = lanczos_run(A, g, 20)
     assert branched._row_max == fresh._row_max
     diag, off = fresh.tridiag.diag.tolist(), fresh.tridiag.offdiag.tolist()
-    beta = branched.beta_next
-    closed = _close_row(branched._row_max, diag[-1], off[-1], beta)
-    assert closed[0] == row_loop(diag, off, beta)
-    scratch = la.SymmetricTridiagonal(fresh.tridiag.diag, fresh.tridiag.offdiag)
-    assert branched.tridiag.inf_norm() == fresh.tridiag.inf_norm() == scratch.inf_norm()
+    assert branched._row_max == row_loop(diag, off, branched.beta_next)
+    for f in (branched, fresh):
+        _assert_carried_row_maximum(f)
+
+
+def test_zero_operator_breaks_down_at_step_zero():
+    # the breakdown test floors its scale, not the carried maximum, so a zero
+    # T keeps inf-norm 0.0
+    f = lanczos_run(diag_op(np.zeros(5)), np.arange(1.0, 6.0), 4)
+    assert f.broken_down and f.k == 0
+    assert f.beta_next == 0.0 and f._row_max == 0.0 and f.tridiag.inf_norm() == 0.0
 
 
 def _max_component_along(Q, r):

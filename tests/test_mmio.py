@@ -52,6 +52,63 @@ def test_coordinate_general_requires_symmetry(tmp_path):
     assert info.value.line_no == 4
 
 
+def test_symmetric_coordinate_rejects_an_entry_given_in_both_triangles(tmp_path):
+    header = "%%MatrixMarket matrix coordinate real symmetric\n"
+    # both triangles of (2, 1) would be mirrored and summed into 1.0
+    path = _write(tmp_path, "both.mtx", header + "2 2 3\n2 1 0.5\n1 1 1.0\n1 2 0.5\n")
+    with pytest.raises(mmio.ParseError, match=r"both.mtx:5: entry \(1, 2\) mirrors") as info:
+        mmio.read_matrix_market(path)
+    assert info.value.line_no == 5
+    # an entry repeated in its own triangle is summed, as in a general file
+    path = _write(tmp_path, "twice.mtx", header + "2 2 3\n1 2 0.25\n2 2 1.0\n1 2 0.25\n")
+    n, rows, cols, vals = mmio.read_matrix_market(path)
+    dense = np.zeros((2, 2))
+    np.add.at(dense, (rows, cols), vals)
+    np.testing.assert_array_equal(dense, [[0.0, 0.5], [0.5, 1.0]])
+    # the upper triangle alone is accepted and mirrored
+    path = _write(tmp_path, "upper.mtx", header + "3 3 3\n1 2 0.5\n2 3 -1.0\n3 3 2.0\n")
+    n, rows, cols, vals = mmio.read_matrix_market(path)
+    dense = np.zeros((3, 3))
+    np.add.at(dense, (rows, cols), vals)
+    np.testing.assert_array_equal(dense, [[0.0, 0.5, 0.0], [0.5, 0.0, -1.0], [0.0, -1.0, 2.0]])
+
+
+COORDINATE = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+@pytest.mark.parametrize(
+    "read, text, line_no, message",
+    [
+        ("matrix", COORDINATE + "% c\n2 2\n", 3, "size line needs 'rows cols nnz'"),
+        ("matrix", COORDINATE + "2 2 x\n", 2, "size entries must be integers"),
+        ("matrix", "", 0, "empty file"),
+        ("matrix", COORDINATE + "% only a comment\n\n", 3, "missing size line"),
+        ("matrix", COORDINATE + "2 2 1\n1 1\n", 3, "entry line needs 'row col value'"),
+        ("matrix", COORDINATE + "2 2 1\n1 1.5 2.0\n", 3, "malformed entry"),
+        ("matrix", COORDINATE + "2 2 1\n3 1 2.0\n", 3, r"index \(3, 1\) out of range"),
+        # a short or long count is reported at the file's last line, or at the
+        # size line when no entry follows it
+        ("matrix", COORDINATE + "2 2 3\n1 1 1.0\n2 2 1.0\n% end\n", 5, "expected 3 entries, found 2"),
+        ("matrix", COORDINATE + "2 2 1\n1 1 1.0\n2 2 1.0\n", 4, "expected 1 entries, found 2"),
+        ("matrix", COORDINATE + "2 2 2\n% none\n", 2, "expected 2 entries, found 0"),
+        (
+            "matrix",
+            "%%MatrixMarket matrix array real general\n2 2\n1.0\n0.0\n1.0\n",
+            5,
+            "expected 4 values, found 3",
+        ),
+        ("vector", "% no values\n\n", 0, "no values found"),
+    ],
+)
+def test_parse_errors_carry_their_line_numbers(tmp_path, read, text, line_no, message):
+    path = _write(tmp_path, "e.txt", text)
+    reader = mmio.read_matrix_market if read == "matrix" else mmio.read_vector
+    with pytest.raises(mmio.ParseError, match=message) as info:
+        reader(path)
+    assert info.value.line_no == line_no
+    assert str(info.value).startswith(f"{path}:{line_no}: ")
+
+
 def test_array_format(tmp_path):
     path = _write(
         tmp_path,
