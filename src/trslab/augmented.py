@@ -9,20 +9,24 @@ rightmost eigenpair is available in closed form from the reduced TRS
 solution, so no nonsymmetric eigensolver is ever needed.  This module also
 provides the spectral quantities (spectral condition number, separation,
 subspace angles, projected off-diagonal norm) that feed the convergence
-bounds.  ||M|| is exact when A's spectrum is known, from a 2 x 2 secular
-equation (Golub 1973; Bunch, Nielsen and Sorensen 1978); other operator norms
-come from the Lanczos estimator in the lanczos module.
+bounds.  The separation needs no complement of the eigenvector z: with
+B = M_k - mu I, B'(I - zz')B + c zz' has the complement Gram's eigenvalues
+and c, and is built from T's entries.  ||M|| is exact when A's spectrum is
+known, from a 2 x 2 secular equation (Golub 1973; Bunch, Nielsen and
+Sorensen 1978); other operator norms come from the Lanczos estimator in the
+lanczos module, whose M'M applies reach A in n x 2 blocks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lanczos import operator_norm_2
-from .linalg import IndefiniteShift, orthonormal_complement, smallest_eig_dense, solve_shifted
+from .linalg import IndefiniteShift, smallest_eig_dense, solve_shifted
 
 
 EIGPAIR_TOL = 1e-10  # eigpair_from_trs residual, relative to M_k's largest column norm
@@ -46,35 +50,28 @@ class AugmentedOperator:
         self.n = self.g.size
         self.shape = (2 * self.n, 2 * self.n)
 
+    def _halves(self, x):
+        """(u, v, A u, A v) for x = (u; v), from one block apply of A."""
+        x = np.asarray(x, dtype=float)
+        return (x[: self.n], x[self.n :], *self.A.apply_block(x.reshape(2, self.n).T).T)
+
     def apply(self, x):
-        n = self.n
-        u = x[:n]
-        v = x[n:]
+        u, v, au, av = self._halves(x)
         coeff = float(self.g @ v) / (self.delta * self.delta)
-        top = -self.A.apply(u) + coeff * self.g
-        bottom = u - self.A.apply(v)
-        return np.concatenate([top, bottom])
+        return np.concatenate([-au + coeff * self.g, u - av])
 
     def apply_transpose(self, x):
-        n = self.n
-        u = x[:n]
-        v = x[n:]
-        top = -self.A.apply(u) + v
+        u, v, au, av = self._halves(x)
         coeff = float(self.g @ u) / (self.delta * self.delta)
-        bottom = coeff * self.g - self.A.apply(v)
-        return np.concatenate([top, bottom])
+        return np.concatenate([-au + v, coeff * self.g - av])
 
     def to_dense(self):
         n = self.n
         if n > 500:
             raise ValueError("dense assembly is for small instances only")
-        a = np.column_stack([self.A.apply(np.eye(n)[:, j]) for j in range(n)])
-        m = np.zeros((2 * n, 2 * n))
-        m[:n, :n] = -a
-        m[:n, n:] = np.outer(self.g, self.g) / (self.delta * self.delta)
-        m[n:, :n] = np.eye(n)
-        m[n:, n:] = -a
-        return m
+        a = self.A.apply_block(np.eye(n))
+        gg = np.outer(self.g, self.g) / (self.delta * self.delta)
+        return np.block([[-a, gg], [np.eye(n), -a]])
 
 
 @dataclass(frozen=True)
@@ -86,20 +83,6 @@ class AugmentedEigenpair:
     @property
     def vector(self):
         return np.concatenate([self.z1, self.z2])
-
-
-def assemble_projected(T, beta0, delta):
-    """Dense projected operator [[-T, beta0^2 e1 e1^T/delta^2], [I, -T]]."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    m = T.order
-    td = T.to_dense()
-    out = np.zeros((2 * m, 2 * m))
-    out[:m, :m] = -td
-    out[0, m] = beta0 * beta0 / (delta * delta)
-    out[m:, :m] = np.eye(m)
-    out[m:, m:] = -td
-    return out
 
 
 def _pair_residual(T, beta0, delta, z1, z2, mu):
@@ -175,20 +158,33 @@ def spectral_condition(T, lam, z1):
     return 1.0 / denom
 
 
-def separation(mk_dense, z, mu):
-    """sep(mu, C) = sigma_min(C - mu I) with C the complement block of z.
+def separation(T, beta0, delta, z, mu):
+    """sep(mu, C) = sigma_min(C - mu I), C the complement block of the unit
+    eigenvector z of M_k, from T's entries.
 
-    C is built with an orthonormal complement of z; the smallest singular
-    value comes from the smallest eigenvalue of the Gram matrix.
+    z is an eigenvector of B = M_k - mu I too, so B'(I - zz')B has z in its
+    null space and on z's complement is the Gram (C - mu I)'(C - mu I).  The
+    deflated Gram G = B'B - ww' + c zz', w = B'z, has its eigenvalues and c,
+    and c = ||B||_1 ||B||_inf >= ||B'B|| bounds them all: sep^2 is G's least.
+    With S = T + mu I and b = beta0^2/delta^2, B'B = [[S^2 + I, -S - b S e1 e1'],
+    [-S - b e1 e1' S, S^2 + b^2 e1 e1']] and w = (z2 - S z1; b z1[0] e1 - S z2).
     """
-    mk_dense = np.asarray(mk_dense, dtype=float)
-    z = np.asarray(z, dtype=float)
-    zperp = orthonormal_complement(z)
-    c = zperp.T @ mk_dense @ zperp
-    shifted = c - mu * np.eye(c.shape[0])
-    gram = shifted.T @ shifted
-    smallest = smallest_eig_dense(gram)
-    return math.sqrt(max(smallest, 0.0))
+    m = T.order
+    b = beta0 * beta0 / (delta * delta)
+    s = T.to_dense() + mu * np.eye(m)
+    s2 = (T.diag + mu)[:, None] * s  # S^2 = S times each column of S, by T.matvec's recurrence
+    s2[:-1] += T.offdiag[:, None] * s[1:]
+    s2[1:] += T.offdiag[:, None] * s[:-1]
+    gram = np.empty((2 * m, 2 * m))
+    gram[:m, :m], gram[m:, m:], gram[:m, m:], gram[m:, :m] = s2 + np.eye(m), s2, -s, -s
+    gram[:m, m] -= b * s[:, 0]
+    gram[m, :m] -= b * s[0]
+    gram[m, m] += b * b
+    w = np.concatenate([z[m:] - s @ z[:m], -(s @ z[m:])])
+    w[m] += b * z[0]
+    c = max(np.abs(s).sum(axis=1).max() + 1.0, np.abs(s[0]).sum() + b) ** 2  # ||B||_1 ||B||_inf
+    gram -= np.column_stack([w, -c * z]) @ np.stack([w, z])
+    return math.sqrt(max(smallest_eig_dense(gram), 0.0))
 
 
 def subspace_sine(y1, y2, Q):
@@ -203,6 +199,11 @@ def subspace_sine(y1, y2, Q):
     r2 = y2 - Q @ (Q.T @ y2)
     s2 = float(r1 @ r1 + r2 @ r2)
     return math.sqrt(min(max(s2, 0.0), 1.0))
+
+
+# both ||M|| routes form about ||M||^4: the bisection below multiplies two
+# shifts of ||M||^2, and Lanczos on M'M squares the entries of M'M v
+M_NORM_LIMIT = sys.float_info.max ** 0.25
 
 
 def m_norm_from_spectrum(theta, c, delta):
@@ -265,17 +266,12 @@ def gamma_tilde(M, Q):
     return operator_norm_2(_ProjectedOffdiagonal(M, Q))
 
 
-def solution_sine(s_k, s_opt):
-    """Sine of the acute angle between two nonzero vectors plus relative error."""
+def solution_sine(s_k, unit):
+    """Sine of the acute angle between a nonzero vector and a unit vector."""
     s_k = np.asarray(s_k, dtype=float)
-    s_opt = np.asarray(s_opt, dtype=float)
     nk = float(np.linalg.norm(s_k))
-    no = float(np.linalg.norm(s_opt))
-    if nk == 0.0 or no == 0.0:
+    if nk == 0.0:
         raise ValueError("vectors must be nonzero")
     u = s_k / nk
-    v = s_opt / no
-    w = u - float(u @ v) * v
-    sine = min(float(np.linalg.norm(w)), 1.0)
-    rel = float(np.linalg.norm(s_k - s_opt)) / no
-    return sine, rel
+    w = u - float(u @ unit) * unit
+    return min(float(np.linalg.norm(w)), 1.0)

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import bounds as bnd
 from .augmented import (
+    M_NORM_LIMIT,
     AugmentedOperator,
-    assemble_projected,
     eigpair_from_trs,
     m_norm_from_spectrum,
     separation,
@@ -171,6 +171,12 @@ def _householder_similarity(d, reflectors):
             v = v - 2.0 * (u @ v) * u
         return v
 
+    def reflect_rows(W, order):
+        # one vector per contiguous row, each with reflect's dot products and its bits
+        for u in order:
+            W = W - (2.0 * np.array([u @ w for w in W]))[:, None] * u
+        return W
+
     def to_eigenbasis(v):  # R' v
         return reflect(v, units)
 
@@ -181,6 +187,7 @@ def _householder_similarity(d, reflectors):
         d.size,
         lambda v: from_eigenbasis(d * to_eigenbasis(v)),
         spectrum=Spectrum(d, to_eigenbasis, from_eigenbasis),
+        block_fn=lambda V: reflect_rows(d * reflect_rows(V.T.copy(), units), units[::-1]).T,
     )
 
 
@@ -284,11 +291,15 @@ def reference_solution(A, g, delta):
     (gltr.gltr_prefix); y2 = (A + lam I)^-1 s_opt is Q (T + lam I)^-1 Q' s_opt
     from the LDL' factors of that run's T, ||M|| comes from the Lanczos
     estimator on M'M, and alpha_n, alpha1 are the operator's `extremes`, or
-    Lanczos estimates when it states none.
+    Lanczos estimates when it states none.  Raises ValueError, naming delta,
+    when ||M||'s bound max|alpha| + 1 + beta0^2/delta^2 passes M_NORM_LIMIT.
     """
     g = np.asarray(g, dtype=float)
     beta0 = float(np.linalg.norm(g))
     alpha_n, alpha1 = A.extremes or estimate_extremal_eigenvalues(A)
+    bound = max(abs(alpha_n), abs(alpha1)) + 1.0 + (beta0 / delta) * (beta0 / delta)  # >= ||M||
+    if bound > M_NORM_LIMIT:
+        raise ValueError(f"radius delta={delta!r} is too small: ||M|| may reach {bound:.3e}")
     run = None
 
     if A.spectrum is not None:
@@ -385,14 +396,14 @@ def run_experiment(spec, k_max=300, resid_tol=1e-13):
     # sweep of e1 through them, are prefixes of the final tridiagonal's, so
     # one factorization and one forward sweep serve every k
     ref_d, ref_l, ref_y = ldl_shifted_e1(tridiag, ref.lambda_opt, 1.0)
+    unit_opt = ref.s_opt / float(np.linalg.norm(ref.s_opt))
     for idx, rec in enumerate(records):
         k = rec.k
         s_k = basis[:, : k + 1] @ rec.h
 
         cols["lambda_gap"][idx] = ref.lambda_opt - rec.lam
         cols["q_gap"][idx] = rec.q - ref.q_opt
-        sine, _ = solution_sine(s_k, ref.s_opt)
-        cols["sin_angle"][idx] = sine
+        cols["sin_angle"][idx] = solution_sine(s_k, unit_opt)
         cols["s_gap"][idx] = float(np.linalg.norm(s_k - ref.s_opt))
         cols["resid"][idx] = explicit_residual(A, g, rec.lam, s_k)
         cols["resid_formula"][idx] = rec.resid_formula
@@ -411,8 +422,7 @@ def run_experiment(spec, k_max=300, resid_tol=1e-13):
         if k in checkpoints and rec.case == BOUNDARY:
             t_k = tridiag.leading(k + 1)
             pair = eigpair_from_trs(t_k, rec.lam, rec.h, beta0=beta0, delta=delta)
-            mk = assemble_projected(t_k, beta0, delta)
-            sep = separation(mk, pair.vector, ref.lambda_opt)
+            sep = separation(t_k, beta0, delta, pair.vector, ref.lambda_opt)
             diag_data["sep"][idx] = sep
             if sep > 0.0:
                 cols["sin_angle_bound"][idx] = bnd.sin_angle_bound(k, sd, ref.m_norm, sep)

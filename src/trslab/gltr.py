@@ -21,6 +21,7 @@ from .trs import BOUNDARY, explicit_residual, solve_trs_tridiagonal  # noqa: F40
 RESIDUAL_TOL = "residual_tol"
 BREAKDOWN = "breakdown"
 K_MAX = "k_max"
+MIN_DELTA = 1e-150  # the secular solve's ||h||^2, about delta^2, stays a normal float
 
 
 class ZeroGradient(ValueError):
@@ -112,14 +113,14 @@ def gltr_solve(A, g, delta, resid_tol=1e-13, k_max=300):
     or more.  The returned factorization holds only the columns it uses,
     and not the run's step workspace.  Raises
     ValueError, before any Lanczos work, if g has a non-finite entry, delta
-    is not in (0, inf), or `check_budget` rejects k_max or resid_tol, and
+    is not in [MIN_DELTA, inf), or `check_budget` rejects k_max or resid_tol, and
     ZeroGradient (a ValueError) if g = 0.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient must be finite")
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    if not MIN_DELTA <= delta < np.inf:
+        raise ValueError(f"delta must lie in [{MIN_DELTA:g}, inf), got {delta!r}")
     check_budget(k_max, resid_tol)
     beta0 = float(np.linalg.norm(g))
     if beta0 == 0.0:

@@ -14,8 +14,8 @@ outweigh the arithmetic.
 Eigenvalues go to LAPACK through numpy.linalg: the extremal
 ones of a tridiagonal that the solver needs, and the dense symmetric
 eigenproblems of the oracle and the harness.
-Also here: a Householder orthonormal complement, and the symmetric operator
-type, which states when it is built what is known of its spectrum: the
+Also here: the symmetric operator type, which applies one vector or an
+n x p block, and states when it is built what is known of its spectrum: the
 eigenvalues with the maps to and from the eigenbasis (a Spectrum), or only
 its extremes.  What an operator does not state is estimated by Lanczos in
 the lanczos module, as are operator 2-norms.
@@ -43,10 +43,6 @@ class IndefiniteShift(Exception):
 
 class NoConvergence(Exception):
     """An iterative kernel hit its iteration budget."""
-
-
-class ZeroVector(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -128,13 +124,19 @@ class SymmetricLinearOperator:
     which a spectrum fixes and an operator without one may still be given.
     The storage it was built from (`diagonal`, `dense`) stays readable but
     says nothing about what is known.
+    `apply_block(V)` is A V for an n x p block, by `block_fn` (one product;
+    every constructor gives one) or else `apply` column by column; a column
+    is bitwise `apply` of it, given contiguous, but for a dense product's rounding.
     """
 
-    def __init__(self, dim, apply_fn, diagonal=None, dense=None, spectrum=None, extremes=None):
+    def __init__(
+        self, dim, apply_fn, diagonal=None, dense=None, spectrum=None, extremes=None, block_fn=None
+    ):
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
         self._apply = apply_fn
+        self._apply_block = block_fn
         self.diagonal = None if diagonal is None else np.asarray(diagonal, dtype=float)
         self.dense = None if dense is None else np.asarray(dense, dtype=float)
         self.spectrum = spectrum
@@ -155,10 +157,19 @@ class SymmetricLinearOperator:
     def apply_transpose(self, v):
         return self.apply(v)
 
+    def apply_block(self, V):
+        V = np.asarray(V, dtype=float)
+        if self._apply_block is None:  # a bare function: column by column
+            return np.column_stack([self.apply(v) for v in V.T])
+        return self._apply_block(V)
+
     @classmethod
     def from_diagonal(cls, d):
         d = np.asarray(d, dtype=float)
-        return cls(d.size, lambda v: d * v, diagonal=d, spectrum=Spectrum(d))
+        return cls(
+            d.size, lambda v: d * v, diagonal=d, spectrum=Spectrum(d),
+            block_fn=lambda V: d[:, None] * V,
+        )
 
     @classmethod
     def from_dense(cls, a, extremes=None):
@@ -166,7 +177,7 @@ class SymmetricLinearOperator:
         scale = max(1.0, float(np.abs(a).max()))
         if np.abs(a - a.T).max() > SYM_TOL * scale:
             raise ValueError("matrix is not symmetric")
-        return cls(a.shape[0], lambda v: a @ v, dense=a, extremes=extremes)
+        return cls(a.shape[0], lambda v: a @ v, dense=a, extremes=extremes, block_fn=a.__matmul__)
 
     @classmethod
     def from_triplets(cls, dim, rows, cols, values):
@@ -176,12 +187,12 @@ class SymmetricLinearOperator:
         if not (rows.size == cols.size == values.size):
             raise ValueError("triplet arrays must have equal length")
 
-        def apply_fn(v):
-            out = np.zeros(dim)
-            np.add.at(out, rows, values * v[cols])
+        def apply_fn(v):  # v one vector or an n x p block
+            out = np.zeros((dim, *v.shape[1:]))
+            np.add.at(out, rows, (values * v[cols].T).T)
             return out
 
-        return cls(dim, apply_fn)
+        return cls(dim, apply_fn, block_fn=apply_fn)
 
 
 def ldl_shifted_e1(T, lam, y0):
@@ -282,26 +293,4 @@ def symmetric_eig_dense(a):
 def smallest_eig_dense(a):
     """Smallest eigenvalue of a dense symmetric matrix (no eigenvectors)."""
     return float(np.linalg.eigvalsh(a)[0])
-
-
-def orthonormal_complement(v):
-    """Orthonormal basis of the complement of a unit vector, via one Householder
-    reflector; returns an m x (m-1) matrix."""
-    v = np.asarray(v, dtype=float)
-    m = v.size
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        raise ZeroVector("cannot complement the zero vector")
-    if abs(nv - 1.0) > 1e-8:
-        raise ValueError(f"input must have unit norm, got {nv!r}")
-    v = v / nv
-    sigma = -1.0 if v[0] >= 0.0 else 1.0
-    u = v.copy()
-    u[0] -= sigma
-    unorm2 = float(u @ u)
-    comp = np.zeros((m, m - 1))
-    comp[1:, :] = np.eye(m - 1)
-    if unorm2 > 0.0:
-        comp -= np.outer(u, (2.0 / unorm2) * u[1:])
-    return comp
 

@@ -22,6 +22,7 @@ LDL' kernels nor the secular iteration with the production path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,7 +219,10 @@ def _secular_newton(
             if h_lo is None:
                 raise NearHardCase(delta - nh, theta_min=theta_min)
             return _boundary_between(lo, h_lo, hi, h_hi, delta, iterations)
-        step = (nh - delta) / delta * (hh / ldl_quadratic_form(fac[1], fac[2], h))
+        qf = ldl_quadratic_form(fac[1], fac[2], h)
+        if qf < sys.float_info.min:  # about delta^3 / beta0: take both for h / ||h|| instead
+            hh, qf = 1.0, ldl_quadratic_form(fac[1], fac[2], [x / nh for x in h])
+        step = (nh - delta) / delta * (hh / qf)
         if abs(step) < 0.5 * pinch:
             # a step below the resolution of lam: take half a pinch, so that
             # the bracket can close around the root

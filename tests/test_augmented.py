@@ -10,15 +10,17 @@ from trslab import trs
 from trslab.gltr import gltr_solve
 from trslab.lanczos import operator_norm_2
 
+from oracles import assemble_projected, complement_separation, orthonormal_complement
+
 
 def test_projected_assembly_examples():
     T = la.SymmetricTridiagonal([2.0], [])
     np.testing.assert_array_equal(
-        aug.assemble_projected(T, 3.0, 1.0), np.array([[-2.0, 9.0], [1.0, -2.0]])
+        assemble_projected(T, 3.0, 1.0), np.array([[-2.0, 9.0], [1.0, -2.0]])
     )
     T0 = la.SymmetricTridiagonal([0.0], [])
     np.testing.assert_array_equal(
-        aug.assemble_projected(T0, 1.0, 1.0), np.array([[0.0, 1.0], [1.0, 0.0]])
+        assemble_projected(T0, 1.0, 1.0), np.array([[0.0, 1.0], [1.0, 0.0]])
     )
 
 
@@ -37,16 +39,36 @@ def test_projected_assembly_matches_operator_projection():
     Qt[:n, : k + 1] = Q
     Qt[n:, k + 1 :] = Q
     projected = Qt.T @ M @ Qt
-    assembled = aug.assemble_projected(fact.tridiag, fact.beta0, 1.0)
+    assembled = assemble_projected(fact.tridiag, fact.beta0, 1.0)
     np.testing.assert_allclose(projected, assembled, atol=1e-12)
 
 
-def test_augmented_operator_blocks_match_dense():
+def _blocks_inputs():
     rng = np.random.default_rng(3)
     n = 30
     a = rng.standard_normal((n, n))
     a = a + a.T
-    A = la.SymmetricLinearOperator.from_dense(a)
+    rows, cols = np.triu_indices(n)
+    keep = rng.random(rows.size) < 0.2
+    rows, cols = rows[keep], cols[keep]
+    values = rng.standard_normal(rows.size)
+    lower = rows != cols
+    return [
+        la.SymmetricLinearOperator.from_dense(a),
+        la.SymmetricLinearOperator.from_diagonal(rng.standard_normal(n)),
+        la.SymmetricLinearOperator.from_triplets(
+            n,
+            np.concatenate([rows, cols[lower]]),
+            np.concatenate([cols, rows[lower]]),
+            np.concatenate([values, values[lower]]),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("A", _blocks_inputs(), ids=["dense", "diagonal", "triplets"])
+def test_augmented_operator_blocks_match_dense(A):
+    rng = np.random.default_rng(3)
+    n = A.dim
     g = rng.standard_normal(n)
     M = aug.AugmentedOperator(A, g, 0.7)
     dense = M.to_dense()
@@ -70,7 +92,7 @@ def test_eigpair_hand_instance():
 def test_eigpair_second_hand_instance():
     T = la.SymmetricTridiagonal([2.0], [])
     pair = aug.eigpair_from_trs(T, 2.0, np.array([-1.0]), beta0=4.0, delta=1.0)
-    mk = aug.assemble_projected(T, 4.0, 1.0)
+    mk = assemble_projected(T, 4.0, 1.0)
     z = pair.vector
     assert np.linalg.norm(mk @ z - 2.0 * z) <= 1e-12
 
@@ -93,7 +115,7 @@ def test_eigpair_verification_rejects_wrong_multiplier():
 
 def _dense_pair_residual(T, beta0, delta, z1, z2, mu):
     # the route the structured check replaced: assemble M_k and multiply
-    mk = aug.assemble_projected(T, beta0, delta)
+    mk = assemble_projected(T, beta0, delta)
     z = np.concatenate([z1, z2])
     return float(np.linalg.norm(mk @ z - mu * z)), float(np.linalg.norm(mk, axis=0).max())
 
@@ -174,10 +196,11 @@ def test_spectral_condition_scalar_instance():
 
 
 def test_separation_examples():
-    assert aug.separation(np.diag([1.0, 3.0]), np.eye(2)[:, 0], 1.0) == pytest.approx(2.0)
-    assert aug.separation(np.diag([5.0, 1.0, 0.0]), np.eye(3)[:, 0], 5.0) == pytest.approx(
-        4.0, abs=1e-9
-    )
+    # the complement route, the oracle that aug.separation is checked against
+    assert complement_separation(np.diag([1.0, 3.0]), np.eye(2)[:, 0], 1.0) == pytest.approx(2.0)
+    assert complement_separation(
+        np.diag([5.0, 1.0, 0.0]), np.eye(3)[:, 0], 5.0
+    ) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_separation_against_svd_oracle():
@@ -187,11 +210,46 @@ def test_separation_against_svd_oracle():
     z = rng.standard_normal(m)
     z /= np.linalg.norm(z)
     mu = 0.3
-    sep = aug.separation(mk, z, mu)
-    zperp = la.orthonormal_complement(z)
+    sep = complement_separation(mk, z, mu)
+    zperp = orthonormal_complement(z)
     c = zperp.T @ mk @ zperp
     sigma_min = np.linalg.svd(c - mu * np.eye(m - 1), compute_uv=False)[-1]
     assert sep == pytest.approx(sigma_min, rel=1e-12)
+
+
+def _assert_separation_matches_complement_route(T, beta0, delta, z, mu):
+    sep = aug.separation(T, beta0, delta, z, mu)
+    oracle = complement_separation(assemble_projected(T, beta0, delta), z, mu)
+    assert abs(sep - oracle) <= 1e-10 * oracle
+
+
+def test_separation_matches_complement_route():
+    # the deflated Gram against the complement route on random boundary
+    # instances: at the pair's own eigenvalue, and at a larger multiplier as
+    # the lab's lambda* is, where dropping the deflation term would give 0
+    rng = np.random.default_rng(29)
+    for order in range(1, 41):
+        T, beta0, delta, sol = _random_boundary_trs(rng, order)
+        pair = aug.eigpair_from_trs(T, sol.lam, sol.h, beta0=beta0, delta=delta)
+        for mu in (sol.lam, sol.lam * (1.0 + float(rng.uniform(1e-6, 1e-2)))):
+            _assert_separation_matches_complement_route(T, beta0, delta, pair.vector, mu)
+
+
+def test_separation_matches_complement_route_at_every_checkpoint(small_run):
+    res = small_run
+    beta0, delta = res.summary["beta0"], res.spec.delta
+    tridiag = res.run.factorization.tridiag
+    checked = 0
+    for rec, sep in zip(res.run.history, res.diagnostics["sep"]):
+        if np.isnan(sep):
+            continue
+        t_k = tridiag.leading(rec.k + 1)
+        pair = aug.eigpair_from_trs(t_k, rec.lam, rec.h, beta0=beta0, delta=delta)
+        _assert_separation_matches_complement_route(
+            t_k, beta0, delta, pair.vector, res.reference.lambda_opt
+        )
+        checked += 1
+    assert checked >= 3
 
 
 def test_subspace_sine_limits():
@@ -242,17 +300,18 @@ def test_solution_sine_basic_and_small_angle():
     rng = np.random.default_rng(13)
     u = rng.standard_normal(9)
     u /= np.linalg.norm(u)
-    sine, rel = aug.solution_sine(3.0 * u, u)
+    sine = aug.solution_sine(3.0 * u, u)
     assert sine <= 1e-12
     perp = rng.standard_normal(9)
     perp -= (perp @ u) * u
     perp /= np.linalg.norm(perp)
-    sine, _ = aug.solution_sine(perp, u)
+    sine = aug.solution_sine(perp, u)
     assert sine == pytest.approx(1.0, abs=1e-12)
     # the norm-relative error and the sine coincide for small angles
     for theta in (1e-3, 3e-4, 1e-5):
         v = np.cos(theta) * u + np.sin(theta) * perp
-        sine, rel = aug.solution_sine(2.2 * v, 2.2 * u)
+        sine = aug.solution_sine(2.2 * v, u)
+        rel = np.linalg.norm(2.2 * v - 2.2 * u) / np.linalg.norm(2.2 * u)
         assert abs(sine - rel) <= 1e-6
 
 

@@ -106,6 +106,60 @@ def test_solve_invalid_radius_exit_code(one_by_one, capsys, delta):
     assert captured.out == ""
 
 
+def _random_symmetric(tmp_path, n=12, seed=3):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    a = a + a.T
+    lines = [f"{i + 1} {j + 1} {float(a[i, j])!r}" for i in range(n) for j in range(i + 1)]
+    header = f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {len(lines)}\n"
+    return _write(tmp_path, "random.mtx", header + "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("delta", ["1e-151", "1e-160"])
+@pytest.mark.parametrize("matrix", ["one_by_one", "random"])
+def test_solve_radius_below_min_delta_exit_code(one_by_one, tmp_path, capsys, matrix, delta):
+    # ||h||^2, about delta^2, would leave the normal floats in the secular solve
+    mtx = one_by_one[0] if matrix == "one_by_one" else _random_symmetric(tmp_path)
+    code = main(["solve", mtx, "--seed-gradient", "1", "--delta", delta])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and delta in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("delta", ["1e-100", "1e-120", "1e-150"])
+@pytest.mark.parametrize("matrix", ["one_by_one", "random"])
+def test_solve_tiny_radius(one_by_one, tmp_path, capsys, matrix, delta):
+    # on the random matrix the Newton derivative h'(T + lam I)^-1 h, about
+    # delta^3, underflows to zero below 1e-108
+    mtx = one_by_one[0] if matrix == "one_by_one" else _random_symmetric(tmp_path)
+    code = main(["solve", mtx, "--seed-gradient", "1", "--delta", delta])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["s_norm"] == pytest.approx(float(delta), rel=1e-12)
+    assert out["lambda"] == pytest.approx(1.0 / float(delta), rel=1e-12)
+
+
+@pytest.mark.parametrize("name, delta", [("1b", "1e-78"), ("1b", "1e-76"), ("4", "1e-40")])
+def test_experiment_tiny_radius_exit_code(tmp_path, capsys, name, delta):
+    # ||M|| >= beta0^2 / delta^2, and both of its routes form ||M||^4
+    out_dir = tmp_path / "out"
+    code = main(["experiment", name, "--n", "20", "--delta", delta, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: radius delta=" + delta)
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name", ["1b", "4"])
+def test_experiment_small_radius_within_range(tmp_path, capsys, name):
+    code = main(["experiment", name, "--n", "20", "--delta", "1e-38", "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / f"{name}.summary.json", encoding="ascii") as fh:
+        # ||M|| is beta0^2 / delta^2 = 1e76 up to the O(1) blocks of M
+        assert json.load(fh)["m_norm"] == pytest.approx(1e76, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from trslab import experiments as ex
 from trslab import linalg as la
 from trslab.lanczos import operator_norm_2
+
+from oracles import ZeroVector, orthonormal_complement
 
 
 def test_ldl_two_step():
@@ -256,18 +259,18 @@ def test_orthonormal_complement_properties():
     for m in (2, 3, 11):
         v = rng.standard_normal(m)
         v /= np.linalg.norm(v)
-        comp = la.orthonormal_complement(v)
+        comp = orthonormal_complement(v)
         assert comp.shape == (m, m - 1)
         np.testing.assert_allclose(comp.T @ comp, np.eye(m - 1), atol=1e-12)
         np.testing.assert_allclose(comp.T @ v, 0.0, atol=1e-12)
     # e1 in R^2 -> (0, 1) up to sign
-    comp = la.orthonormal_complement(np.array([1.0, 0.0]))
+    comp = orthonormal_complement(np.array([1.0, 0.0]))
     np.testing.assert_allclose(np.abs(comp[:, 0]), [0.0, 1.0], atol=1e-14)
     # symmetric vector
-    comp = la.orthonormal_complement(np.array([1.0, 1.0]) / np.sqrt(2))
+    comp = orthonormal_complement(np.array([1.0, 1.0]) / np.sqrt(2))
     np.testing.assert_allclose(np.abs(comp[:, 0]), np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
-    with pytest.raises(la.ZeroVector):
-        la.orthonormal_complement(np.zeros(3))
+    with pytest.raises(ZeroVector):
+        orthonormal_complement(np.zeros(3))
 
 
 
@@ -284,3 +287,49 @@ def test_operator_states_what_it_knows_of_its_spectrum():
     # a spectrum fixes its extremes
     with pytest.raises(ValueError, match="spectrum fixes"):
         la.SymmetricLinearOperator(3, lambda v: d * v, spectrum=la.Spectrum(d), extremes=(0, 1))
+
+
+def _block_operators(n):
+    # (operator, rounding allowed per column) for every constructor, the
+    # Householder similarity and a bare user function
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((n, n))
+    a = a + a.T
+    rows, cols = np.tril_indices(n)
+    values = a[rows, cols]
+    lower = rows != cols
+    d = rng.standard_normal(n)
+    spec = ex.ProblemSpec("1a", n, params={"orthogonal_similarity": True})
+    return [
+        ("diagonal", la.SymmetricLinearOperator.from_diagonal(d), 0.0),
+        ("dense", la.SymmetricLinearOperator.from_dense(a), 4 * np.finfo(float).eps),
+        (
+            "triplets",
+            la.SymmetricLinearOperator.from_triplets(
+                n,
+                np.concatenate([rows, cols[lower]]),
+                np.concatenate([cols, rows[lower]]),
+                np.concatenate([values, values[lower]]),
+            ),
+            0.0,
+        ),
+        ("similarity", ex.generate(spec)[0], 0.0),
+        ("function", la.SymmetricLinearOperator(n, lambda v: a @ v + np.sin(v)), 0.0),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 7, 60, 300])
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_block_apply_matches_per_column_apply(n, p):
+    # columns given contiguous, as Lanczos vectors are
+    V = np.random.default_rng(n + p).standard_normal((n, p))
+    for name, A, rtol in _block_operators(n):
+        block = A.apply_block(V)
+        assert block.shape == (n, p), name
+        for j in range(p):
+            column = A.apply(np.ascontiguousarray(V[:, j]))
+            if rtol == 0.0:
+                assert np.array_equal(block[:, j], column), name
+            else:
+                err = np.linalg.norm(block[:, j] - column)
+                assert err <= rtol * np.linalg.norm(column), name
