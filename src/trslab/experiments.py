@@ -171,12 +171,6 @@ def _householder_similarity(d, reflectors):
             v = v - 2.0 * (u @ v) * u
         return v
 
-    def reflect_rows(W, order):
-        # one vector per contiguous row, each with reflect's dot products and its bits
-        for u in order:
-            W = W - (2.0 * np.array([u @ w for w in W]))[:, None] * u
-        return W
-
     def to_eigenbasis(v):  # R' v
         return reflect(v, units)
 
@@ -187,7 +181,6 @@ def _householder_similarity(d, reflectors):
         d.size,
         lambda v: from_eigenbasis(d * to_eigenbasis(v)),
         spectrum=Spectrum(d, to_eigenbasis, from_eigenbasis),
-        block_fn=lambda V: reflect_rows(d * reflect_rows(V.T.copy(), units), units[::-1]).T,
     )
 
 

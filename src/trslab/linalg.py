@@ -124,9 +124,11 @@ class SymmetricLinearOperator:
     which a spectrum fixes and an operator without one may still be given.
     The storage it was built from (`diagonal`, `dense`) stays readable but
     says nothing about what is known.
-    `apply_block(V)` is A V for an n x p block, by `block_fn` (one product;
-    every constructor gives one) or else `apply` column by column; a column
-    is bitwise `apply` of it, given contiguous, but for a dense product's rounding.
+    `apply_block(V)` is A V for an n x p block: one product by `block_fn`
+    where the constructor gives one (`from_dense`, `from_triplets`, the
+    operators whose ||M|| comes from the Lanczos estimator), else `apply`
+    column by column; a column is bitwise `apply` of it but for a dense
+    product's rounding.
     """
 
     def __init__(
@@ -159,17 +161,14 @@ class SymmetricLinearOperator:
 
     def apply_block(self, V):
         V = np.asarray(V, dtype=float)
-        if self._apply_block is None:  # a bare function: column by column
-            return np.column_stack([self.apply(v) for v in V.T])
+        if self._apply_block is None:  # column by column, each one contiguous
+            return np.column_stack([self.apply(v) for v in np.ascontiguousarray(V.T)])
         return self._apply_block(V)
 
     @classmethod
     def from_diagonal(cls, d):
         d = np.asarray(d, dtype=float)
-        return cls(
-            d.size, lambda v: d * v, diagonal=d, spectrum=Spectrum(d),
-            block_fn=lambda V: d[:, None] * V,
-        )
+        return cls(d.size, lambda v: d * v, diagonal=d, spectrum=Spectrum(d))
 
     @classmethod
     def from_dense(cls, a, extremes=None):

@@ -47,6 +47,7 @@ SECULAR_TOL = 1e-13  # relative tolerance on ||h|| = delta in the tridiagonal so
 SECULAR_MAX_ITER = 50  # Newton steps per tridiagonal solve
 SPECTRAL_MAX_ITER = 300  # iterations of the oracle's explicit secular solve
 ORACLE_CAP = 500  # largest order solve_trs_dense accepts
+NORMAL_MIN = sys.float_info.min  # below it the secular Newton derivative leaves the normal floats
 
 
 class NearHardCase(Exception):
@@ -220,7 +221,7 @@ def _secular_newton(
                 raise NearHardCase(delta - nh, theta_min=theta_min)
             return _boundary_between(lo, h_lo, hi, h_hi, delta, iterations)
         qf = ldl_quadratic_form(fac[1], fac[2], h)
-        if qf < sys.float_info.min:  # about delta^3 / beta0: take both for h / ||h|| instead
+        if qf < NORMAL_MIN:  # about delta^3 / beta0: take both for h / ||h|| instead
             hh, qf = 1.0, ldl_quadratic_form(fac[1], fac[2], [x / nh for x in h])
         step = (nh - delta) / delta * (hh / qf)
         if abs(step) < 0.5 * pinch:
