@@ -8,8 +8,10 @@ inherits the same structure with T_k and beta0^2 e1 e1^T / delta^2, and its
 rightmost eigenpair is available in closed form from the reduced TRS
 solution, so no nonsymmetric eigensolver is ever needed.  This module also
 provides the spectral quantities (spectral condition number, separation,
-subspace angles, projected off-diagonal norm) that feed the convergence
-bounds.  The separation needs no complement of the eigenvector z: with
+subspace angles) that feed the convergence bounds.  Two need no estimate:
+the projected eigenvalue's condition is 1/(2 z1'z2) of the checked pair, and
+as g lies in range(Q_k), ||pi M (I - pi)|| is the next Lanczos off-diagonal
+beta_{k+1}.  The separation needs no complement of the eigenvector z: with
 B = M_k - mu I, B'(I - zz')B + c zz' has the complement Gram's eigenvalues
 and c, and is built from T's entries.  ||M|| is exact when A's spectrum is
 known, from a 2 x 2 secular equation (Golub 1973; Bunch, Nielsen and
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lanczos import operator_norm_2
+from .lanczos import operator_norm_2  # noqa: F401  not called here; perfbench/layers.py rebinds it
 from .linalg import IndefiniteShift, smallest_eig_dense, solve_shifted
 
 
@@ -143,16 +145,13 @@ def recover_solution(y1, y2, g, delta):
     return -(delta * delta / gy2) * y1
 
 
-def spectral_condition(T, lam, z1):
-    """Sensitivity of the rightmost projected eigenvalue: 1/(2 z1^T (T+lam I)^{-1} z1).
+def spectral_condition(z1, z2):
+    """Sensitivity of the rightmost projected eigenvalue: 1/(2 z1^T z2).
 
-    z1 is the leading half of the unit-length eigenvector (z1; z2).  The
-    solve is done fresh, so the identity z1^T z2 = z1^T (T+lam I)^{-1} z1
-    is not assumed.
+    (z1; z2) is the unit eigenvector from eigpair_from_trs, whose residual
+    check certifies z1 = (T + lam I) z2, so z1^T z2 = z1^T (T + lam I)^{-1} z1.
     """
-    z1 = np.asarray(z1, dtype=float)
-    w = solve_shifted(T, lam, z1)
-    denom = 2.0 * float(z1 @ w)
+    denom = 2.0 * float(np.dot(z1, z2))
     if denom <= 0.0:
         raise IndefiniteShift(-1, denom)
     return 1.0 / denom
@@ -214,9 +213,13 @@ def m_norm_from_spectrum(theta, c, delta):
     S = [[0, 1], [1, ||c||^2 / delta^4]].  Blocks with c_i = 0 are invariant.
     Over the others det S = -1, so at most one eigenvalue exceeds their top
     block eigenvalue dmax, and at least one reaches it: bisection finds where
-    det(S^-1 - U'(mu - D)^-1 U) changes sign, else returns dmax.
+    det(S^-1 - U'(mu - D)^-1 U) changes sign, else returns dmax.  Raises
+    ValueError when ||M|| may pass M_NORM_LIMIT, where its products overflow.
     """
     t2, c = np.asarray(theta, dtype=float) ** 2, np.asarray(c, dtype=float)
+    bound = math.sqrt(float(t2.max(initial=0.0))) + 1.0 + float(c @ c) / delta / delta
+    if bound > M_NORM_LIMIT:
+        raise ValueError(f"radius delta={delta!r} is too small: ||M|| may reach {bound:.3e}")
     root = np.sqrt(t2 + 0.25)
     top = t2 + 0.5 + root
     coupled = c != 0.0
@@ -237,33 +240,6 @@ def m_norm_from_spectrum(theta, c, delta):
             mid = 0.5 * (lo + hi)
         best = max(best, lo)
     return math.sqrt(best)
-
-
-class _ProjectedOffdiagonal:
-    """Operator pi * M * (I - pi) with pi the projector onto the doubled basis."""
-
-    def __init__(self, M, Q):
-        self.M = M
-        self.Q = Q
-        self.shape = M.shape
-
-    def _project(self, x):
-        n = self.Q.shape[0]
-        u = self.Q @ (self.Q.T @ x[:n])
-        v = self.Q @ (self.Q.T @ x[n:])
-        return np.concatenate([u, v])
-
-    def apply(self, x):
-        return self._project(self.M.apply(x - self._project(x)))
-
-    def apply_transpose(self, x):
-        y = self.M.apply_transpose(self._project(x))
-        return y - self._project(y)
-
-
-def gamma_tilde(M, Q):
-    """Norm of the projected off-diagonal block pi M (I - pi); diagnostic only."""
-    return operator_norm_2(_ProjectedOffdiagonal(M, Q))
 
 
 def solution_sine(s_k, unit):

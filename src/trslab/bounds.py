@@ -151,9 +151,10 @@ def sin_subspace_bound(k, sd, y1_norm):
 
 
 def first_lambda_bound(k, sd, s_cond, gamma, y1_norm):
-    """c_k s(lam_k) gamma_k ||y1|| t^{k+1}.
+    """c_k s(lam_k) gamma_k ||y1|| t^{k+1}: asymptotic, a considerable overestimate.
 
-    Asymptotic and a considerable overestimate; diagnostic only.
+    s(lam_k) = 1/(2 z1'z2) for the projected eigenvector (z1; z2), and gamma_k =
+    ||pi M (I - pi)|| = beta_{k+1}, the next off-diagonal of the Lanczos T.
     """
     return ck_factor(k, sd) * s_cond * gamma * y1_norm * sd.t ** (k + 1)
 

@@ -40,15 +40,17 @@ from .augmented import (
     solution_sine,
     spectral_condition,
 )
-from .gltr import check_budget, explicit_residual, gltr_prefix, gltr_solve
+from .gltr import K_MAX, check_budget, explicit_residual, gltr_prefix, gltr_solve
 from .lanczos import estimate_extremal_eigenvalues, operator_norm_2
 from .lanczos import lanczos_run  # noqa: F401  not called here; perfbench/layers.py rebinds it
+from .linalg import NoConvergence
 from .linalg import Spectrum, SymmetricLinearOperator, ldl_back, ldl_shifted_e1, solve_shifted
 from .mmio import read_matrix_market, read_vector
 from .trs import BOUNDARY, solve_trs_spectral
 
 FAMILIES = ("1a", "1b", "2", "3", "4", "file")
 REFERENCE_TOL = 1e-14  # secular and residual tolerance of reference_solution
+REFERENCE_K_MAX = 600  # step budget of the Krylov reference solve
 CHECKPOINT_EVERY = 5  # stride of the steps at which the angle bound is evaluated
 
 CSV_COLUMNS = [
@@ -285,7 +287,8 @@ def reference_solution(A, g, delta):
     from the LDL' factors of that run's T, ||M|| comes from the Lanczos
     estimator on M'M, and alpha_n, alpha1 are the operator's `extremes`, or
     Lanczos estimates when it states none.  Raises ValueError, naming delta,
-    when ||M||'s bound max|alpha| + 1 + beta0^2/delta^2 passes M_NORM_LIMIT.
+    when ||M||'s bound max|alpha| + 1 + beta0^2/delta^2 passes M_NORM_LIMIT,
+    and NoConvergence when the Krylov solve ends at REFERENCE_K_MAX steps.
     """
     g = np.asarray(g, dtype=float)
     beta0 = float(np.linalg.norm(g))
@@ -304,7 +307,10 @@ def reference_solution(A, g, delta):
         y2_raw = back(s_eig / (theta + lam))
         m_norm = m_norm_from_spectrum(theta, c, delta)
     else:
-        run = gltr_solve(A, g, delta, resid_tol=REFERENCE_TOL, k_max=600)
+        run = gltr_solve(A, g, delta, resid_tol=REFERENCE_TOL, k_max=REFERENCE_K_MAX)
+        if run.termination == K_MAX:
+            resid = run.history[-1].resid_formula
+            raise NoConvergence(f"reference run hit k_max={REFERENCE_K_MAX}, residual {resid:.1e}")
         lam, s_opt, q_opt = run.lam, run.s, run.q
         Q, T = run.factorization.basis, run.factorization.tridiag
         y2_raw = Q @ solve_shifted(T, lam, Q.T @ s_opt)
@@ -419,7 +425,7 @@ def run_experiment(spec, k_max=300, resid_tol=1e-13):
             diag_data["sep"][idx] = sep
             if sep > 0.0:
                 cols["sin_angle_bound"][idx] = bnd.sin_angle_bound(k, sd, ref.m_norm, sep)
-            diag_data["spectral_condition"][idx] = spectral_condition(t_k, rec.lam, pair.z1)
+            diag_data["spectral_condition"][idx] = spectral_condition(pair.z1, pair.z2)
 
     return ExperimentResult(
         spec=spec,

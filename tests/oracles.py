@@ -1,13 +1,18 @@
-"""Dense reference routes that the package computes from T's structure.
+"""Reference routes for what the package computes from T's structure.
 
 The tests check the structured code against these: the assembled projected
-operator M_k, a Householder orthonormal complement, and the separation
-through that complement.
+operator M_k, a Householder orthonormal complement, the separation through
+that complement, the norm of the projected off-diagonal block pi M (I - pi)
+by the Lanczos estimator (the package reads it as beta_{k+1}), and the
+spectral condition by a fresh solve (the package reads it off the pair).
 """
 
 import math
 
 import numpy as np
+
+from trslab.lanczos import operator_norm_2
+from trslab.linalg import IndefiniteShift, solve_shifted
 
 
 class ZeroVector(Exception):
@@ -60,3 +65,40 @@ def complement_separation(mk_dense, z, mu):
     shifted = c - mu * np.eye(c.shape[0])
     smallest = float(np.linalg.eigvalsh(shifted.T @ shifted)[0])
     return math.sqrt(max(smallest, 0.0))
+
+
+class _ProjectedOffdiagonal:
+    """Operator pi * M * (I - pi) with pi the projector onto the doubled basis."""
+
+    def __init__(self, M, Q):
+        self.M = M
+        self.Q = Q
+        self.shape = M.shape
+
+    def _project(self, x):
+        n = self.Q.shape[0]
+        u = self.Q @ (self.Q.T @ x[:n])
+        v = self.Q @ (self.Q.T @ x[n:])
+        return np.concatenate([u, v])
+
+    def apply(self, x):
+        return self._project(self.M.apply(x - self._project(x)))
+
+    def apply_transpose(self, x):
+        y = self.M.apply_transpose(self._project(x))
+        return y - self._project(y)
+
+
+def gamma_tilde(M, Q):
+    """Norm of the projected off-diagonal block pi M (I - pi), by Lanczos on its Gram."""
+    return operator_norm_2(_ProjectedOffdiagonal(M, Q))
+
+
+def fresh_spectral_condition(T, lam, z1):
+    """1/(2 z1^T (T + lam I)^{-1} z1) by a fresh LDL' solve, for the leading half
+    z1 of a unit eigenvector (z1; z2); it does not assume z2 = (T + lam I)^{-1} z1."""
+    z1 = np.asarray(z1, dtype=float)
+    denom = 2.0 * float(z1 @ solve_shifted(T, lam, z1))
+    if denom <= 0.0:
+        raise IndefiniteShift(-1, denom)
+    return 1.0 / denom

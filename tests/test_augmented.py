@@ -8,9 +8,9 @@ from trslab import experiments as ex
 from trslab import linalg as la
 from trslab import trs
 from trslab.gltr import gltr_solve
-from trslab.lanczos import operator_norm_2
+from trslab.lanczos import lanczos_run, operator_norm_2
 
-from oracles import assemble_projected, complement_separation, orthonormal_complement
+from oracles import assemble_projected, complement_separation, gamma_tilde, orthonormal_complement
 
 
 def test_projected_assembly_examples():
@@ -189,9 +189,9 @@ def test_recover_solution_homogeneity_and_hard_signal():
 
 
 def test_spectral_condition_scalar_instance():
-    T = la.SymmetricTridiagonal([1.0], [])
+    # T = [1] at lam = 1: the unit eigenvector (z1; z2) = (2; 1)/sqrt(5) has z1 = (T + lam I) z2
     s5 = np.sqrt(5.0)
-    value = aug.spectral_condition(T, 1.0, np.array([2.0 / s5]))
+    value = aug.spectral_condition(np.array([2.0 / s5]), np.array([1.0 / s5]))
     assert value == pytest.approx(1.25, abs=1e-12)
 
 
@@ -272,10 +272,10 @@ def test_gamma_tilde_properties():
     g /= np.linalg.norm(g)
     M = aug.AugmentedOperator(A, g, 1.0)
     # full-space projector annihilates the off-diagonal block
-    assert aug.gamma_tilde(M, np.eye(n)) <= 1e-10
+    assert gamma_tilde(M, np.eye(n)) <= 1e-10
     res = gltr_solve(A, g, 1.0, resid_tol=1e-10)
     Qk = res.factorization.basis[:, :8]
-    gt = aug.gamma_tilde(M, Qk)
+    gt = gamma_tilde(M, Qk)
     assert gt <= operator_norm_2(M) * (1.0 + 1e-13)
 
 
@@ -293,7 +293,28 @@ def test_gamma_tilde_vanishes_for_invariant_coordinate_block():
         apply_transpose = apply
 
     Q = np.eye(8)[:, :3]
-    assert aug.gamma_tilde(DiagonalM(), Q) <= 1e-12
+    assert gamma_tilde(DiagonalM(), Q) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ex.default_spec("1a", n=2000, seed=5),
+        ex.default_spec("3", n=2000, seed=5),
+        ex.default_spec("4", n=500, seed=5),
+        ex.ProblemSpec("1a", 400, seed=5, params={"orthogonal_similarity": True}),
+    ],
+    ids=["1a", "3", "4", "1a-similarity"],
+)
+def test_gamma_tilde_is_the_next_lanczos_offdiagonal(spec):
+    # g = beta0 q_1 lies in range(Q_k), so pi M (I - pi) keeps only the blocks
+    # -Q_k beta_{k+1} e_k q_{k+1}' on its diagonal: its norm is beta_{k+1}
+    A, g = ex.generate(spec)
+    M = aug.AugmentedOperator(A, g, spec.delta)
+    f = lanczos_run(A, g, 59)
+    for k in (0, 5, 20, 39, 59):
+        beta = f.leading(k + 1).beta_next
+        assert abs(gamma_tilde(M, f.basis[:, : k + 1]) - beta) <= 1e-14 * beta
 
 
 def test_solution_sine_basic_and_small_angle():
@@ -414,4 +435,27 @@ def spectral_instances(draw):
 def test_m_norm_from_spectrum_matches_dense_on_adversarial_spectra(instance):
     theta, c, delta = instance
     dense = dense_m_norm(theta, c, delta)
+    assert abs(aug.m_norm_from_spectrum(theta, c, delta) - dense) <= 1e-13 * dense
+
+
+def _m_norm_instance(delta):
+    A, g = ex.generate(ex.default_spec("1b", n=20))
+    dense = np.linalg.norm(aug.AugmentedOperator(A, g, delta).to_dense(), 2)
+    return A.spectrum.values, A.spectrum.to_eigenbasis(g), dense
+
+
+@pytest.mark.parametrize("delta", [2e-39, 1e-40, 1e-50])
+def test_m_norm_from_spectrum_raises_past_the_limit(delta):
+    # the dense norms are 2.5e77, 1e80 and 1e100; past M_NORM_LIMIT the
+    # bisection's products overflow, where it used to return 2^256 silently
+    theta, c, dense = _m_norm_instance(delta)
+    assert dense > aug.M_NORM_LIMIT
+    with pytest.raises(ValueError, match=f"delta={delta!r}"):
+        aug.m_norm_from_spectrum(theta, c, delta)
+
+
+@pytest.mark.parametrize("delta", [3e-39, 1e-38, 1e-30])
+def test_m_norm_from_spectrum_matches_dense_just_inside_the_limit(delta):
+    theta, c, dense = _m_norm_instance(delta)
+    assert dense <= aug.M_NORM_LIMIT
     assert abs(aug.m_norm_from_spectrum(theta, c, delta) - dense) <= 1e-13 * dense

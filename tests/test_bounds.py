@@ -5,8 +5,9 @@ import pytest
 
 from trslab import augmented as aug
 from trslab import bounds as bd
-from trslab import experiments as ex
 from trslab import linalg as la
+
+from oracles import fresh_spectral_condition
 
 
 @pytest.fixture(scope="module")
@@ -244,9 +245,10 @@ def test_first_lambda_bound_is_a_gross_overestimate(small_run):
     res = small_run
     cols = res.table
     sd = _run_spectrum_data(res)
-    A, g = ex.generate(res.spec)
-    augmented = aug.AugmentedOperator(A, g, res.spec.delta)
-    gamma = aug.gamma_tilde(augmented, res.run.factorization.basis)
+    f = res.run.factorization
+    # ||pi M (I - pi)|| on the final basis, the number the projected-operator
+    # estimate gave (tests/test_augmented.py checks gamma_k = beta_{k+1})
+    gamma = f.beta_next
     scond = res.diagnostics["spectral_condition"]
     mask = ~np.isnan(scond)
     ks = cols["k"][mask].astype(int)
@@ -256,6 +258,26 @@ def test_first_lambda_bound_is_a_gross_overestimate(small_run):
             break
         value = bd.first_lambda_bound(int(k), sd, sc, gamma, res.reference.y1_norm)
         assert value >= gap
+        # the paper's per-k form, gamma_k = beta_{k+1} of the leading factorization
+        gamma_k = f.leading(int(k) + 1).beta_next
+        assert bd.first_lambda_bound(int(k), sd, sc, gamma_k, res.reference.y1_norm) >= gap
+
+
+def test_spectral_condition_matches_a_fresh_solve_at_every_checkpoint(small_run):
+    # 1/(2 z1'z2) of the checked pair against 1/(2 z1'(T + lam I)^-1 z1) solved again
+    res = small_run
+    beta0, delta = res.summary["beta0"], res.spec.delta
+    tridiag = res.run.factorization.tridiag
+    checked = 0
+    for rec, sc in zip(res.run.history, res.diagnostics["spectral_condition"]):
+        if np.isnan(sc):
+            continue
+        t_k = tridiag.leading(rec.k + 1)
+        pair = aug.eigpair_from_trs(t_k, rec.lam, rec.h, beta0=beta0, delta=delta)
+        fresh = fresh_spectral_condition(t_k, rec.lam, pair.z1)
+        assert abs(sc - fresh) <= 1e-13 * fresh
+        checked += 1
+    assert checked >= 3
 
 
 def test_spectral_condition_converges_along_run(small_run):

@@ -384,6 +384,24 @@ def test_experiment_hard_case_file_spec_exit_code(hard_case_files, tmp_path, cap
     assert not out_dir.exists()
 
 
+def test_experiment_unconverged_reference_exit_code(tmp_path, capsys):
+    # an interior case on a graded spectrum: the Krylov reference solve uses
+    # all its steps with a residual near 0.14, and its s_opt is about 7% off
+    d = np.logspace(-8.0, 0.0, 1000)
+    entries = "".join(f"{i} {i} {float(v)!r}\n" for i, v in enumerate(d, start=1))
+    header = "%%MatrixMarket matrix coordinate real symmetric\n1000 1000 1000\n"
+    mtx = _write(tmp_path, "graded.mtx", header + entries)
+    out_dir = tmp_path / "out"
+    argv = _spec_argv(tmp_path, "file", {"path": mtx}, n=1000, delta=1e10)
+    code = main(["experiment"] + argv + ["--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert code == 4
+    out = json.loads(captured.out)
+    assert out["error"] == "no_convergence" and "k_max=600" in out["detail"]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "experiment"])
 def test_memory_error_exit_code(one_by_one, tmp_path, capsys, monkeypatch, command):
     def exhausted(*args, **kwargs):

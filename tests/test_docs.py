@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 import shlex
@@ -5,7 +6,8 @@ from pathlib import Path
 
 from trslab import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _module_map_names():
@@ -54,3 +56,78 @@ def test_command_line_examples_parse():
     assert len(commands) == 6
     for words in commands:
         cli._build_parser().parse_args(words[1:])
+
+
+def _bindings():
+    # (module, name) of each literal (module, name, span) tuple in perfbench/layers.py's BINDINGS
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["BINDINGS"]
+    ]
+    return {
+        (node.elts[0].value, node.elts[1].value)
+        for node in ast.walk(value)
+        if isinstance(node, ast.Tuple)
+        and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)
+    }
+
+
+def _imported_from_trslab():
+    # (module, name) for every `from trslab.mod import name` (or relative
+    # `from .mod import name`) and every `mod.name` read through a module bound
+    # by `from trslab import mod` (or `from . import mod`), under src/ and perfbench/
+    pairs = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = node.module or ""
+            if node.level:  # relative imports occur only inside src/trslab
+                base = f"trslab.{base}".rstrip(".")
+            if base == "trslab":
+                modules.update({a.asname or a.name: f"trslab.{a.name}" for a in node.names})
+            if base.startswith("trslab"):
+                pairs.update((base, a.name) for a in node.names)
+        pairs.update(
+            (modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        )
+    return pairs
+
+
+def test_unused_imports_are_marked_and_accounted_for():
+    # an import a module does not use (a Name it never reads, nor lists in its
+    # __all__, as pyflakes counts uses) must sit on a `# noqa: F401` line and
+    # be there for a reason: perfbench rebinds it in that module, or another
+    # module imports it from there.  Such a name is dead once its reason goes
+    bindings, imported = _bindings(), _imported_from_trslab()
+    problems = []
+    for path in sorted((ROOT / "src" / "trslab").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        module = "trslab" if path.stem == "__init__" else f"trslab.{path.stem}"
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(importlib.import_module(module), "__all__", ()))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name in used:
+                    continue
+                where = f"{path.name}:{alias.lineno}: {name}"
+                if "# noqa: F401" not in text.splitlines()[alias.lineno - 1]:
+                    problems.append(f"{where} is unused and not marked noqa: F401")
+                elif (module, name) not in bindings | imported:
+                    problems.append(f"{where} is neither bound in BINDINGS nor imported elsewhere")
+    assert problems == []
