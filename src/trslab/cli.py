@@ -21,6 +21,7 @@ import numpy as np
 from . import experiments as ex
 from .bounds import HardOrIndefiniteShift
 from .gltr import K_MAX, explicit_residual, gltr_solve
+from .lanczos import q_times
 from .linalg import NoConvergence
 from .mmio import ParseError
 from .trs import NearHardCase, check_kkt
@@ -105,7 +106,10 @@ def _cmd_solve(args):
     if args.verify_residuals:
         Q = result.factorization.basis
         payload["residual_identity_gap"] = max(
-            abs(rec.resid_formula - explicit_residual(A, g, rec.lam, Q[:, : rec.k + 1] @ rec.h))
+            abs(
+                rec.resid_formula
+                - explicit_residual(A, g, rec.lam, q_times(Q[:, : rec.k + 1], rec.h))
+            )
             for rec in result.history
         )
     if kkt.curvature_margin < -1e-8 * (1.0 + abs(kkt.curvature_margin)):

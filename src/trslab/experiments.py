@@ -41,7 +41,7 @@ from .augmented import (
     spectral_condition,
 )
 from .gltr import K_MAX, check_budget, explicit_residual, gltr_prefix, gltr_solve
-from .lanczos import estimate_extremal_eigenvalues, operator_norm_2
+from .lanczos import estimate_extremal_eigenvalues, operator_norm_2, q_times, qt_times
 from .lanczos import lanczos_run  # noqa: F401  not called here; perfbench/layers.py rebinds it
 from .linalg import NoConvergence
 from .linalg import Spectrum, SymmetricLinearOperator, ldl_back, ldl_shifted_e1, solve_shifted
@@ -313,7 +313,7 @@ def reference_solution(A, g, delta):
             raise NoConvergence(f"reference run hit k_max={REFERENCE_K_MAX}, residual {resid:.1e}")
         lam, s_opt, q_opt = run.lam, run.s, run.q
         Q, T = run.factorization.basis, run.factorization.tridiag
-        y2_raw = Q @ solve_shifted(T, lam, Q.T @ s_opt)
+        y2_raw = q_times(Q, solve_shifted(T, lam, qt_times(Q, s_opt)))
         m_norm = operator_norm_2(AugmentedOperator(A, g, delta))
 
     sd = bnd.spectrum_data(alpha1, alpha_n, lam, beta0, delta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lanczos import extend_lanczos, lanczos_run
+from .lanczos import extend_lanczos, lanczos_run, q_times
 from .trs import BOUNDARY, explicit_residual, solve_trs_tridiagonal  # noqa: F401  re-exported
 
 RESIDUAL_TOL = "residual_tol"
@@ -90,7 +90,7 @@ def _result(history, termination, fact):
     basis, and a BLAS product can round differently on other alignments.
     """
     final = history[-1]
-    s = fact.basis @ final.h
+    s = q_times(fact.basis, final.h)
     return GltrResult(history, final.lam, s, final.q, termination, fact.trimmed())
 
 

@@ -43,6 +43,25 @@ The operations and their order are those of the plain out-of-place
 expressions, so the results are bitwise the same.  Nothing is written into the array that A.apply
 returns, which may be the operator's input or a buffer it reuses.
 
+The two products of a Gram-Schmidt pass, Q'r and Qc, read the whole basis,
+and at large n they are most of a run's time, bound by how fast one core
+streams memory.  When the basis holds at least SPLIT_BYTES and two CPUs are
+usable, `qt_times` and `q_times` split each between the caller and one
+worker thread: Q'r by columns, at a multiple of 4, and Qc by rows, at a
+multiple of 64, each part a BLAS product into its own slice of the result.
+BLAS releases the interpreter lock, so the parts run at once.  An entry of
+Q'r is one column's dot product with r and an entry of Qc one row's sum over
+the columns, and with those cuts each part forms its entries bitwise as the
+one call does (checked at one BLAS thread on OpenBLAS 0.3.31, for n from 65
+to 123 457 and j from 2 to 80; a multi-threaded BLAS divides the one call
+its own way).  A part of one column or one row would be a numpy dot
+product, summed in another order, so such a product stays one call.
+Below SPLIT_BYTES the hand-over costs about as much as it saves.  gltr's
+final s, the CLI's per-step iterates and the Krylov reference's y2 use the
+same two functions.  The worker is a daemon thread, started by a process's
+first split product (a forked child starts its own), and a caller that
+finds it busy with another thread's product forms its own in one call.
+
 The package's one estimator of extremal eigenvalues and operator 2-norms
 also lives here: a seeded run grown until its extreme Ritz values settle
 (Lanczos, not the power method: Kuczynski and Wozniakowski, SIAM J. Matrix
@@ -52,7 +71,10 @@ Anal. Appl. 1992).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +83,9 @@ from .linalg import SymmetricLinearOperator, SymmetricTridiagonal, extremal_eig_
 
 BREAKDOWN_TOL = 1e-12  # breakdown: beta_{k+1} <= this * T's largest row sum (floor 1e-300)
 RESERVE_BYTES = 256 * 2**20  # a capacity hint reserves at most this much basis
+# a product over at least this much basis splits over two threads (crossover measured in
+# BENCH_two_core_gram_schmidt.json)
+SPLIT_BYTES = 8 * 2**20
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -191,6 +216,134 @@ def _close_row(row_max, delta, left, beta):
     return max(row_max, abs(delta) + abs(beta) + abs(left))
 
 
+def qt_times(Q, v):
+    """Q'v for a column-major n x j basis Q, bitwise the one-call product.
+
+    When Q holds at least SPLIT_BYTES and two CPUs are usable, the worker
+    thread forms the entries of the columns from `cut` on, a multiple of 4
+    near j/2, while the caller forms the others.  Neither part is a single
+    column, which numpy would take as a dot product, summed in another order.
+    """
+    if Q.nbytes >= SPLIT_BYTES:
+        j = Q.shape[1]
+        cut = 4 * ((j + 4) // 8)
+        out = np.empty(j)
+        if 0 < cut < j - 1 and _split(
+            lambda: np.matmul(Q[:, :cut].T, v, out=out[:cut]),
+            lambda: np.matmul(Q[:, cut:].T, v, out=out[cut:]),
+        ):
+            return out
+    return Q.T @ v
+
+
+def q_times(Q, c, out=None):
+    """Qc for a column-major n x j basis Q, written into `out` when given,
+    bitwise the one-call product.
+
+    When Q holds at least SPLIT_BYTES and two CPUs are usable, the worker
+    thread forms the rows from `cut` on, a multiple of 64 near n/2, while
+    the caller forms the others; neither part is a single row.
+    """
+    n = Q.shape[0]
+    if out is None:
+        out = np.empty(n)
+    if Q.nbytes >= SPLIT_BYTES:
+        cut = 64 * ((n + 64) // 128)
+        if 0 < cut < n - 1 and _split(
+            lambda: np.matmul(Q[:cut], c, out=out[:cut]),
+            lambda: np.matmul(Q[cut:], c, out=out[cut:]),
+        ):
+            return out
+    return np.matmul(Q, c, out=out)
+
+
+class _Worker:
+    """A daemon thread that runs the second half of one split product at a
+    time.  `given` and `finished` are locks held while idle and used as
+    binary semaphores: a caller releases `given` to hand over a job, and the
+    thread releases `finished` when the job is done.  `owner` is held by the
+    caller whose job is in flight."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.owner, self.given, self.finished = (threading.Lock() for _ in range(3))
+        self.given.acquire()
+        self.finished.acquire()
+        self.job = self.error = None
+        threading.Thread(target=self._serve, name="trslab-split", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.given.acquire()
+            try:
+                self.job()
+            except Exception as exc:  # re-raised by the caller
+                self.error = exc
+            self.finished.release()
+
+    def run(self, first, second):
+        """Run `second` on this thread while the caller runs `first`, and
+        return True once both are done, re-raising an exception of either;
+        return False, running neither, while another caller's job is in
+        flight."""
+        if not self.owner.acquire(blocking=False):
+            return False
+        self.job = second
+        self.given.release()
+        try:
+            first()
+        finally:
+            # interrupted while waiting, the caller keeps `owner`: no later
+            # job can then meet this one's late release of `finished`
+            self.finished.acquire()
+            error, self.job, self.error = self.error, None, None
+            self.owner.release()
+        if error is not None:
+            raise error
+        return True
+
+
+_worker = None  # this process's _Worker, started by the first split product
+_worker_start = threading.Lock()
+
+
+@functools.cache
+def _two_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _split(first, second):
+    """Run `first` on the caller and `second` on this process's worker, and
+    return True; return False, running neither, when fewer than two CPUs are
+    usable or the worker is busy or being started by another caller thread.
+
+    A worker is started on first use and again in a forked child, whose copy
+    of the parent's worker has no thread behind it.
+    """
+    global _worker
+    worker = _worker
+    if worker is None or worker.pid != os.getpid():
+        if not _two_cpus() or not _worker_start.acquire(blocking=False):
+            return False
+        try:
+            if _worker is None or _worker.pid != os.getpid():
+                _worker = _Worker()
+            worker = _worker
+        finally:
+            _worker_start.release()
+    return worker.run(first, second)
+
+
+def _project(qmat, r, work):
+    """work = qmat (qmat' r), split over two threads at SPLIT_BYTES or more."""
+    if qmat.nbytes >= SPLIT_BYTES:
+        q_times(qmat, qt_times(qmat, r), out=work)
+    else:  # one call each, without the two functions' overhead, about 1 us a pass
+        np.matmul(qmat, qmat.T @ r, out=work)
+
+
 def _reorthogonalize(qmat, r, work):
     """Remove from r, in place, its components along the orthonormal columns
     of qmat; `work` is an n-vector of scratch.
@@ -204,12 +357,12 @@ def _reorthogonalize(qmat, r, work):
     overhead.
     """
     before = math.sqrt(r @ r)
-    np.matmul(qmat, qmat.T @ r, out=work)
+    _project(qmat, r, work)
     np.subtract(r, work, out=r)
     beta = math.sqrt(r @ r)
     if beta >= before / _SQRT2:
         return beta, 1
-    np.matmul(qmat, qmat.T @ r, out=work)
+    _project(qmat, r, work)
     np.subtract(r, work, out=r)
     return math.sqrt(r @ r), 2
 

@@ -1,3 +1,11 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -562,6 +570,17 @@ def test_one_pass_suffices_without_cancellation():
 
 
 def test_basis_stays_orthonormal_over_long_runs_on_adversarial_spectra(monkeypatch):
+    _check_orthonormal_over_long_runs_on_adversarial_spectra(monkeypatch)
+
+
+def test_split_basis_stays_orthonormal_over_long_runs_on_adversarial_spectra(monkeypatch):
+    # the same runs with every Gram-Schmidt product split over two threads
+    monkeypatch.setattr(lanczos, "_two_cpus", lambda: True)
+    monkeypatch.setattr(lanczos, "SPLIT_BYTES", 0)
+    _check_orthonormal_over_long_runs_on_adversarial_spectra(monkeypatch)
+
+
+def _check_orthonormal_over_long_runs_on_adversarial_spectra(monkeypatch):
     second_passes = []
 
     def recording(qmat, r, work):
@@ -598,3 +617,209 @@ def test_basis_stays_orthonormal_over_long_runs_on_adversarial_spectra(monkeypat
         assert loss <= 1e-13, (name, loss)
     # the outlier run, the last, takes the second pass on a third of its steps
     assert sum(second_passes) >= 100
+
+
+# -- basis products split over two threads ---------------------------------
+
+SRC = Path(lanczos.__file__).resolve().parents[1]
+ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+
+
+def _python(code, timeout=300):
+    """Run code in a fresh interpreter at 1 BLAS thread; returns its stdout.
+
+    A split product is bitwise the one-call product only when BLAS does not
+    split the calls itself, and BLAS reads its thread count when numpy loads.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC), **ONE_BLAS_THREAD)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_split_products_equal_one_call_products_bitwise():
+    # n = 65 and j = 5 would leave one row or one column to the worker, a dot
+    # product that numpy sums in another order; those stay one call
+    out = _python(
+        """
+        import numpy as np
+        from trslab import lanczos
+        lanczos._two_cpus = lambda: True
+        lanczos.SPLIT_BYTES = 0
+        rng = np.random.default_rng(3)
+        differ = []
+        for n in (65, 66, 130, 3000, 4097, 65537, 123457):
+            store = np.asfortranarray(rng.standard_normal((n, 80)))
+            r = rng.standard_normal(n)
+            for j in (2, 3, 5, 6, 7, 8, 9, 13, 31, 64, 80):
+                Q, c, out = store[:, :j], rng.standard_normal(j), np.empty(n)
+                lanczos.q_times(Q, c, out=out)
+                if not (
+                    np.array_equal(lanczos.qt_times(Q, r), Q.T @ r)
+                    and np.array_equal(lanczos.q_times(Q, c), Q @ c)
+                    and np.array_equal(out, Q @ c)
+                ):
+                    differ.append((n, j))
+        assert lanczos._worker is not None
+        print(differ)
+        """
+    )
+    assert out.strip() == "[]"
+
+
+def test_split_run_matches_the_one_call_run_bitwise():
+    # at n = 100 000 the products split from j = 11 on at the default SPLIT_BYTES
+    out = _python(
+        """
+        import numpy as np
+        from trslab import lanczos, linalg
+        lanczos._two_cpus = lambda: True
+        rng = np.random.default_rng(5)
+        n = 100_000
+        A = linalg.SymmetricLinearOperator.from_diagonal(rng.standard_normal(n))
+        g = rng.standard_normal(n)
+        split = lanczos.lanczos_run(A, g, 30)
+        assert lanczos._worker is not None
+        lanczos.SPLIT_BYTES = float("inf")
+        one = lanczos.lanczos_run(A, g, 30)
+        print(
+            np.array_equal(split.basis, one.basis),
+            np.array_equal(split.tridiag.diag, one.tridiag.diag),
+            np.array_equal(split.tridiag.offdiag, one.tridiag.offdiag),
+            split.beta_next == one.beta_next,
+            np.array_equal(split.next_vector, one.next_vector),
+        )
+        """
+    )
+    assert out.split() == ["True"] * 5
+
+
+def test_concurrent_solves_each_get_the_one_thread_result():
+    # three caller threads share the one worker; a caller that finds it busy
+    # forms its product in one call, which is bitwise the same
+    out = _python(
+        """
+        import sys, threading
+        import numpy as np
+        from trslab import experiments as ex, lanczos
+        from trslab.gltr import gltr_solve
+        lanczos._two_cpus = lambda: True
+        A, g = ex.generate(ex.ProblemSpec("2", 20_000, 1.0, 3))
+        lanczos.SPLIT_BYTES = float("inf")
+        alone = gltr_solve(A, g, 1.0, resid_tol=0.0, k_max=40)
+        lanczos.SPLIT_BYTES = 0
+        results = []
+
+        def solve():
+            for _ in range(2):
+                results.append(gltr_solve(A, g, 1.0, resid_tol=0.0, k_max=40))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=solve) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        same = [
+            r.lam == alone.lam
+            and np.array_equal(r.s, alone.s)
+            and np.array_equal(r.factorization.basis, alone.factorization.basis)
+            and np.array_equal(r.factorization.tridiag.diag, alone.factorization.tridiag.diag)
+            and np.array_equal(r.factorization.tridiag.offdiag, alone.factorization.tridiag.offdiag)
+            for r in results
+        ]
+        print(len(results), all(same), threading.active_count())
+        """
+    )
+    assert out.split() == ["6", "True", "2"]  # the main thread and one worker
+
+
+def test_worker_never_blocks_interpreter_exit():
+    out = _python(
+        """
+        import threading
+        import numpy as np
+        from trslab import lanczos
+        lanczos._two_cpus = lambda: True
+        lanczos.SPLIT_BYTES = 0
+        Q = np.asfortranarray(np.ones((3000, 12)))
+        lanczos.q_times(Q, lanczos.qt_times(Q, np.ones(3000)))
+        print(threading.active_count())
+        """,
+        timeout=60,
+    )
+    assert out.strip() == "2"
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(lanczos, "_worker", None)
+    monkeypatch.setattr(lanczos, "SPLIT_BYTES", 0)
+    lanczos._two_cpus.cache_clear()
+    try:
+        threads = threading.active_count()
+        rng = np.random.default_rng(41)
+        Q, r = np.asfortranarray(rng.standard_normal((3000, 12))), rng.standard_normal(3000)
+        assert np.array_equal(lanczos.qt_times(Q, r), Q.T @ r)
+        assert np.array_equal(lanczos.q_times(Q, r[:12]), Q @ r[:12])
+        assert threading.active_count() == threads
+        assert lanczos._worker is None
+    finally:
+        lanczos._two_cpus.cache_clear()
+
+
+def test_an_exception_in_the_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(lanczos, "_two_cpus", lambda: True)
+    ran = []
+    with pytest.raises(ZeroDivisionError):
+        lanczos._split(lambda: ran.append("caller"), lambda: 1 / 0)
+    assert ran == ["caller"]
+    # the worker takes the next job
+    assert lanczos._split(lambda: None, lambda: ran.append("worker"))
+    assert ran == ["caller", "worker"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
+def test_forked_child_starts_its_own_worker(monkeypatch):
+    monkeypatch.setattr(lanczos, "_two_cpus", lambda: True)
+    monkeypatch.setattr(lanczos, "SPLIT_BYTES", 0)
+    rng = np.random.default_rng(37)
+    Q, r = np.asfortranarray(rng.standard_normal((3000, 12))), rng.standard_normal(3000)
+    lanczos.qt_times(Q, r)
+    assert lanczos._worker.pid == os.getpid()
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+
+    def child():
+        coords = lanczos.qt_times(Q, r)
+        sender.send((lanczos._worker.pid == os.getpid(), np.allclose(coords, Q.T @ r)))
+
+    proc = ctx.Process(target=child, daemon=True)
+    proc.start()
+    try:
+        assert receiver.poll(60)
+        assert receiver.recv() == (True, True)
+    finally:
+        proc.join(60)
+        if proc.is_alive():
+            proc.kill()
+    assert proc.exitcode == 0
+
+
+def test_stream_and_lab_sizes_stay_on_the_one_call_path():
+    # The largest bases the benchmark's stream and lab workloads multiply:
+    # n = 2000 at gltr_solve's default k_max = 300, and family 4's two
+    # estimators, on A (n = 500) and on M'M (2n = 1000), 261 columns each.
+    # A retune that moves them onto the split path has to change this test.
+    largest = 8 * max(2000 * 301, 500 * 261, 1000 * 261)
+    assert lanczos.SPLIT_BYTES > largest
