@@ -49,18 +49,26 @@ streams memory.  When the basis holds at least SPLIT_BYTES and two CPUs are
 usable, `qt_times` and `q_times` split each between the caller and one
 worker thread: Q'r by columns, at a multiple of 4, and Qc by rows, at a
 multiple of 64, each part a BLAS product into its own slice of the result.
-BLAS releases the interpreter lock, so the parts run at once.  An entry of
-Q'r is one column's dot product with r and an entry of Qc one row's sum over
-the columns, and with those cuts each part forms its entries bitwise as the
-one call does (checked at one BLAS thread on OpenBLAS 0.3.31, for n from 65
-to 123 457 and j from 2 to 80; a multi-threaded BLAS divides the one call
-its own way).  A part of one column or one row would be a numpy dot
-product, summed in another order, so such a product stays one call.
-Below SPLIT_BYTES the hand-over costs about as much as it saves.  gltr's
-final s, the CLI's per-step iterates and the Krylov reference's y2 use the
-same two functions.  The worker is a daemon thread, started by a process's
-first split product (a forked child starts its own), and a caller that
-finds it busy with another thread's product forms its own in one call.
+The parts run at once only while each releases the interpreter lock.
+`np.matmul` does so for a row block of Q times c, but holds the lock for its
+whole BLAS call on a transposed column block Q[:, a:b].T (numpy 2.4.6),
+which would run the two parts of Q'r one after the other; `np.dot` on the
+same operands releases it.  So Qc's parts are `np.matmul` products and Q'r's
+`np.dot` products.  An entry of Q'r is one column's dot product with r and
+an entry of Qc one row's sum over the columns, and with those cuts each part
+forms its entries bitwise as the one call does (checked at one BLAS thread
+on OpenBLAS 0.3.31, for n from 65 to 123 457 and j from 2 to 80; a
+multi-threaded BLAS divides the one call its own way).  A part of one column
+or one row would be a numpy dot product, summed in another order, so such a
+product stays one call.  A hand-over costs about 50 us, so a small product
+stays one call too.  At one BLAS thread the split pass was faster at every
+basis measured, from 1.5 MiB up; SPLIT_BYTES sits just above 4.59 MiB, the
+largest basis of a default-length solve at n = 2000, which keeps such
+solves on the one-call path.  gltr's final s, the CLI's per-step iterates
+and the Krylov reference's y2 use the same two functions.  The worker is a
+daemon thread, started by a process's first split product (a forked child
+starts its own), and a caller that finds it busy with another thread's
+product forms its own in one call.
 
 The package's one estimator of extremal eigenvalues and operator 2-norms
 also lives here: a seeded run grown until its extreme Ritz values settle
@@ -83,9 +91,10 @@ from .linalg import SymmetricLinearOperator, SymmetricTridiagonal, extremal_eig_
 
 BREAKDOWN_TOL = 1e-12  # breakdown: beta_{k+1} <= this * T's largest row sum (floor 1e-300)
 RESERVE_BYTES = 256 * 2**20  # a capacity hint reserves at most this much basis
-# a product over at least this much basis splits over two threads (crossover measured in
-# BENCH_two_core_gram_schmidt.json)
-SPLIT_BYTES = 8 * 2**20
+# a product over at least this much basis splits over two threads: just above the basis of a
+# default-length solve at n = 2000 (301 columns, 4.59 MiB); crossover measured in
+# BENCH_gil_releasing_halves.json
+SPLIT_BYTES = 5 * 2**20
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -221,16 +230,19 @@ def qt_times(Q, v):
 
     When Q holds at least SPLIT_BYTES and two CPUs are usable, the worker
     thread forms the entries of the columns from `cut` on, a multiple of 4
-    near j/2, while the caller forms the others.  Neither part is a single
-    column, which numpy would take as a dot product, summed in another order.
+    near j/2, while the caller forms the others.  Each part is an `np.dot`
+    product, which releases the interpreter lock during BLAS where
+    `np.matmul` on the transposed block holds it, so the two run at once.
+    Neither part is a single column, which numpy would take as a dot
+    product, summed in another order.
     """
     if Q.nbytes >= SPLIT_BYTES:
         j = Q.shape[1]
         cut = 4 * ((j + 4) // 8)
         out = np.empty(j)
         if 0 < cut < j - 1 and _split(
-            lambda: np.matmul(Q[:, :cut].T, v, out=out[:cut]),
-            lambda: np.matmul(Q[:, cut:].T, v, out=out[cut:]),
+            lambda: np.dot(Q[:, :cut].T, v, out=out[:cut]),
+            lambda: np.dot(Q[:, cut:].T, v, out=out[cut:]),
         ):
             return out
     return Q.T @ v

@@ -1,10 +1,11 @@
 import ast
 import importlib
+import math
 import re
 import shlex
 from pathlib import Path
 
-from trslab import cli
+from trslab import cli, lanczos
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -45,6 +46,24 @@ def test_library_quickstart_runs(capsys):
     exec(compile(block, "README.md quickstart", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
+
+
+def _ordinal(k):
+    return f"{k}{'th' if 10 <= k % 100 <= 20 else {1: 'st', 2: 'nd', 3: 'rd'}.get(k % 10, 'th')}"
+
+
+def test_threads_section_states_the_split_threshold():
+    # README's figures for lanczos.SPLIT_BYTES, derived from the constant: its
+    # size in MiB, here and in the module map, and the first Lanczos step
+    # whose basis (one column per step) reaches it at n = 100 000
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    threads = text.split("## Threads", 1)[1].split("## ", 1)[0]
+    mib = f"{lanczos.SPLIT_BYTES / 2**20:g} MiB"
+    step = _ordinal(math.ceil(lanczos.SPLIT_BYTES / (8 * 100_000)))
+    assert f"`lanczos.SPLIT_BYTES` ({mib}) of basis" in threads
+    assert f"at n = 100 000 is from the {step} Lanczos step on" in threads
+    stated = re.findall(r"`(?:lanczos\.)?SPLIT_BYTES` \(([^)]*)\)", text)
+    assert len(stated) == 2 and set(stated) == {mib}
 
 
 def test_command_line_examples_parse():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -671,7 +672,7 @@ def test_split_products_equal_one_call_products_bitwise():
 
 
 def test_split_run_matches_the_one_call_run_bitwise():
-    # at n = 100 000 the products split from j = 11 on at the default SPLIT_BYTES
+    # at n = 100 000 the products split from j = 7 on at the default SPLIT_BYTES
     out = _python(
         """
         import numpy as np
@@ -757,6 +758,54 @@ def test_worker_never_blocks_interpreter_exit():
         timeout=60,
     )
     assert out.strip() == "2"
+
+
+def _seen_while_running(half):
+    """The events that the main thread sees first while another thread
+    appends "start", runs `half` and appends "done".
+
+    At a switch interval of 100 s a thread keeps the interpreter lock until
+    it blocks, so the polling main thread runs again while the half is still
+    in BLAS only if the half released the lock; one that holds it is always
+    seen done.
+    """
+    events = []
+
+    def run():
+        events.append("start")
+        half()
+        events.append("done")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(100)
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        while not events:
+            time.sleep(0)
+        seen = list(events)
+    finally:
+        sys.setswitchinterval(interval)
+    thread.join(60)
+    assert not thread.is_alive()
+    return seen
+
+
+@pytest.mark.parametrize("product", ["qt_times", "q_times"])
+def test_split_halves_release_the_interpreter_lock(monkeypatch, product):
+    # Each half reads 32 MiB of a 64 MiB basis, a millisecond or two, and
+    # can end before the main thread is scheduled, so a half passes when one
+    # of ten tries sees it running: no timing threshold, and a half that
+    # holds the lock never passes.
+    halves = []
+    monkeypatch.setattr(lanczos, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(lanczos, "_split", lambda first, second: halves.extend((first, second)))
+    Q = np.ones((2**20, 8), order="F")
+    getattr(lanczos, product)(Q, np.ones(2**20) if product == "qt_times" else np.ones(8))
+    assert len(halves) == 2
+    for half in halves:
+        seen = [_seen_while_running(half) for _ in range(10)]
+        assert ["start"] in seen, seen
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch):
