@@ -2,15 +2,20 @@
 
 A run produces the orthonormal basis Q_k and the projected tridiagonal T_k
 satisfying the three-term relation A Q_k = Q_k T_k + beta_{k+1} q_{k+1} e_{k+1}^T.
-Every step reorthogonalizes against every stored basis vector: one classical
-Gram-Schmidt pass, a second only when the first cancels (Kahan-Parlett
-"twice is enough").  That keeps the basis orthonormal to machine precision,
-which all downstream accuracy checks rely on, and most steps read the basis
-twice (Q' r, then Q times the result) rather than four times.  Each new
-entry of T is checked finite once, when it is produced, and a factorization
-carries the running maximum of T's absolute row sums, which scales the
-breakdown test and gives T's inf-norm, so it is never rebuilt from all rows
-at every step.
+Every step measures the residual's components c = Q'r along the stored
+basis, and subtracts Qc only when ||c|| > ORTH_ETA ||r||, with ORTH_ETA =
+2^-50, 8 unit roundoffs.  A step that skips the subtraction leaves r as it
+is, so the next basis vector's inner products with the basis are the
+measured c / ||r||, at most ORTH_ETA on every step.  A step that subtracts
+takes one classical Gram-Schmidt pass, and a second only when the first
+cancels (Kahan-Parlett "twice is enough").  That keeps the basis orthonormal
+to machine precision, which all downstream accuracy checks rely on.  A step
+reads the basis once when it skips (Q'r), twice on one pass (Q'r, then Qc)
+and four times on two; the deep solve (family 2 at n = 100 000, 71 steps)
+skipped on 37 of its steps at seed 5.  Each new entry of T is checked finite
+once, when it is produced, and a factorization carries the running maximum
+of T's absolute row sums, which scales the breakdown test and gives T's
+inf-norm, so it is never rebuilt from all rows at every step.
 
 A run writes its basis into one column-major n x capacity store, whose
 capacity is fixed when it is made, and the reorthogonalization works on the
@@ -90,6 +95,8 @@ import numpy as np
 from .linalg import SymmetricLinearOperator, SymmetricTridiagonal, extremal_eig_tridiagonal
 
 BREAKDOWN_TOL = 1e-12  # breakdown: beta_{k+1} <= this * T's largest row sum (floor 1e-300)
+# a step subtracts Q(Q'r) only when ||Q'r|| > this * ||r||: 8 unit roundoffs
+ORTH_ETA = 2.0**-50
 RESERVE_BYTES = 256 * 2**20  # a capacity hint reserves at most this much basis
 # a product over at least this much basis splits over two threads: just above the basis of a
 # default-length solve at n = 2000 (301 columns, 4.59 MiB); crossover measured in
@@ -348,34 +355,32 @@ def _split(first, second):
     return worker.run(first, second)
 
 
-def _project(qmat, r, work):
-    """work = qmat (qmat' r), split over two threads at SPLIT_BYTES or more."""
-    if qmat.nbytes >= SPLIT_BYTES:
-        q_times(qmat, qt_times(qmat, r), out=work)
-    else:  # one call each, without the two functions' overhead, about 1 us a pass
-        np.matmul(qmat, qmat.T @ r, out=work)
-
-
 def _reorthogonalize(qmat, r, work):
     """Remove from r, in place, its components along the orthonormal columns
     of qmat; `work` is an n-vector of scratch.
 
-    One classical Gram-Schmidt pass, and a second only when the first left
-    ||r|| below ||r_before|| / sqrt(2): a pass that shrinks r less than that
-    leaves it orthogonal to working precision (Kahan-Parlett "twice is
-    enough"; Parlett, The Symmetric Eigenvalue Problem; Giraud, Langou and
-    Rozloznik 2005).  Returns (||r||, passes).  Norms are sqrt(r'r),
-    numpy.linalg.norm's own formula for a real vector, without its per-call
-    overhead.
+    It first forms c = qmat' r.  When ||c|| <= ORTH_ETA ||r||, r is left as
+    it is: the inner products of r / ||r|| with the basis, as measured, are
+    the entries of c / ||r||, each at most ORTH_ETA, a bound checked on every
+    step rather than an estimate of the loss (as partial reorthogonalization,
+    Simon 1984, makes).  Otherwise r -= qmat c is one classical Gram-Schmidt
+    pass, and a second follows only when the first left ||r|| below
+    ||r_before|| / sqrt(2): a pass that shrinks r less than that leaves it
+    orthogonal to working precision (Kahan-Parlett "twice is enough";
+    Parlett, The Symmetric Eigenvalue Problem; Giraud, Langou and Rozloznik
+    2005).  Returns (||r||, subtractions), with 0, 1 or 2 subtractions.
+    Norms are sqrt(x'x), numpy.linalg.norm's own formula for a real vector,
+    without its per-call overhead.
     """
     before = math.sqrt(r @ r)
-    _project(qmat, r, work)
-    np.subtract(r, work, out=r)
+    c = qt_times(qmat, r)
+    if math.sqrt(c @ c) <= ORTH_ETA * before:
+        return before, 0
+    np.subtract(r, q_times(qmat, c, out=work), out=r)
     beta = math.sqrt(r @ r)
     if beta >= before / _SQRT2:
         return beta, 1
-    _project(qmat, r, work)
-    np.subtract(r, work, out=r)
+    np.subtract(r, q_times(qmat, qt_times(qmat, r), out=work), out=r)
     return math.sqrt(r @ r), 2
 
 
@@ -408,8 +413,8 @@ def _grow(A, store, row_max, left, order_target):
         if j > 1:
             np.multiply(store.array[:, j - 2], left, out=work)
             np.subtract(r, work, out=r)
-        # complete reorthogonalization: one classical Gram-Schmidt pass, a
-        # second only when the first cancels (Kahan-Parlett)
+        # complete reorthogonalization: Q'r measured, then no pass when it is
+        # at rounding level, one, or a second when the first cancels
         beta, _ = _reorthogonalize(store.array[:, :j], r, work)
         if not math.isfinite(beta):  # checked once, here
             raise ValueError("nonfinite entries")

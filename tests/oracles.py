@@ -5,6 +5,8 @@ operator M_k, a Householder orthonormal complement, the separation through
 that complement, the norm of the projected off-diagonal block pi M (I - pi)
 by the Lanczos estimator (the package reads it as beta_{k+1}), and the
 spectral condition by a fresh solve (the package reads it off the pair).
+It also holds a Lanczos process that reorthogonalizes fully on every step,
+for tests whose T must not follow the package's reorthogonalization rule.
 """
 
 import math
@@ -12,7 +14,7 @@ import math
 import numpy as np
 
 from trslab.lanczos import operator_norm_2
-from trslab.linalg import IndefiniteShift, solve_shifted
+from trslab.linalg import IndefiniteShift, SymmetricTridiagonal, solve_shifted
 
 
 class ZeroVector(Exception):
@@ -102,3 +104,31 @@ def fresh_spectral_condition(T, lam, z1):
     if denom <= 0.0:
         raise IndefiniteShift(-1, denom)
     return 1.0 / denom
+
+
+def full_reorthogonalization_tridiagonal(A, g, order):
+    """T of the given order from the Lanczos process on (A, g), run without a
+    breakdown test.  Every step subtracts a classical Gram-Schmidt pass
+    against the whole basis, and a second when the first leaves less than
+    1/sqrt(2) of the residual (Kahan-Parlett), written with out-of-place
+    expressions."""
+    g = np.asarray(g, dtype=float)
+    Q = np.empty((g.size, order), order="F")
+    Q[:, 0] = g / np.linalg.norm(g)
+    diag, off = [], []
+    for j in range(1, order + 1):
+        q = Q[:, j - 1]
+        w = A.apply(q)
+        diag.append(float(q @ w))
+        if j == order:
+            break
+        r = w - diag[-1] * q
+        if off:
+            r = r - off[-1] * Q[:, j - 2]
+        before = float(np.linalg.norm(r))
+        r = r - Q[:, :j] @ (Q[:, :j].T @ r)
+        if np.linalg.norm(r) < before / math.sqrt(2.0):
+            r = r - Q[:, :j] @ (Q[:, :j].T @ r)
+        off.append(float(np.linalg.norm(r)))
+        Q[:, j] = r / off[-1]
+    return SymmetricTridiagonal(np.array(diag), np.array(off))

@@ -66,6 +66,22 @@ def test_threads_section_states_the_split_threshold():
     assert len(stated) == 2 and set(stated) == {mib}
 
 
+def test_stated_skip_threshold_follows_the_constant():
+    # the eta that README (module map and Threads section) and the lanczos
+    # docstring state, derived from lanczos.ORTH_ETA: a power of two, so
+    # that eta ||r|| rounds exactly, and its multiple of the unit roundoff
+    exponent = math.log2(lanczos.ORTH_ETA)
+    assert exponent.is_integer(), "ORTH_ETA is stated as a power of two"
+    power = f"2^{exponent:.0f}"
+    units = f"{lanczos.ORTH_ETA / 2.0**-53:g} unit roundoffs"
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    stated = re.findall(r"`(?:lanczos\.)?ORTH_ETA` \(([^)]*)\)", text)
+    assert len(stated) == 2 and set(stated) == {power}
+    threads = text.split("## Threads", 1)[1].split("## ", 1)[0]
+    assert f"`lanczos.ORTH_ETA` ({power})" in threads
+    assert f"ORTH_ETA = {power}, {units}" in " ".join(lanczos.__doc__.split())
+
+
 def test_command_line_examples_parse():
     # a removed or renamed flag in the README's examples is an argparse error
     section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]

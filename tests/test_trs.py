@@ -5,8 +5,9 @@ from trslab import linalg as la
 from trslab import trs
 from trslab.experiments import ProblemSpec, generate, reference_solution
 from trslab.gltr import gltr_solve
-from trslab.lanczos import lanczos_run
 from trslab.verify import random_secular_instance
+
+from oracles import full_reorthogonalization_tridiagonal
 
 
 def test_boundary_one_by_one():
@@ -103,11 +104,13 @@ def test_tridiagonal_near_hard_case():
 def test_near_hard_probe_raises_where_newton_would_reach_the_boundary():
     # g is nearly orthogonal to the lowest eigenvector, so ||h(lam)|| stays
     # below delta down to lam = -theta_min + 1e-14 scale, where the probe
-    # looks; without the probe, Newton returns a boundary lam near 3
+    # looks; without the probe, Newton returns a boundary lam near 3.  The gap
+    # there follows T's rounding, so T comes from the oracle's Lanczos, not
+    # from the package's reorthogonalization rule
     d = np.concatenate([[-3.0], np.linspace(-1.0, 2.0, 49)])
     g = np.ones(50)
     g[0] = 1e-12
-    T = lanczos_run(la.SymmetricLinearOperator.from_diagonal(d), g, 49).tridiag
+    T = full_reorthogonalization_tridiagonal(la.SymmetricLinearOperator.from_diagonal(d), g, 50)
     with pytest.raises(trs.NearHardCase) as exc:
         trs.solve_trs_tridiagonal(T, float(np.linalg.norm(g)), 43.0)
     assert exc.value.gap == pytest.approx(19.5, abs=0.05)
