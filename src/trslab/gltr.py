@@ -112,9 +112,10 @@ def gltr_solve(A, g, delta, resid_tol=1e-13, k_max=300):
     columns are written, give or take a 2 MiB huge page on a store of 4 MiB
     or more.  The returned factorization holds only the columns it uses,
     and not the run's step workspace.  Raises
-    ValueError, before any Lanczos work, if g has a non-finite entry, delta
-    is not in [MIN_DELTA, inf), or `check_budget` rejects k_max or resid_tol, and
-    ZeroGradient (a ValueError) if g = 0.
+    ValueError, before any Lanczos work, if g has a non-finite entry or a
+    length other than A's order, delta is not in [MIN_DELTA, inf), or
+    `check_budget` rejects k_max or resid_tol, and ZeroGradient (a
+    ValueError) if g = 0.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):

@@ -70,10 +70,10 @@ stays one call too.  At one BLAS thread the split pass was faster at every
 basis measured, from 1.5 MiB up; SPLIT_BYTES sits just above 4.59 MiB, the
 largest basis of a default-length solve at n = 2000, which keeps such
 solves on the one-call path.  gltr's final s, the CLI's per-step iterates
-and the Krylov reference's y2 use the same two functions.  The worker is a
+and the Krylov reference's y2 use the same two functions.  The worker is one
 daemon thread, started by a process's first split product (a forked child
-starts its own), and a caller that finds it busy with another thread's
-product forms its own in one call.
+starts its own), that serves one queue: the halves of callers that split at
+the same time wait in line for it.
 
 The package's one estimator of extremal eigenvalues and operator 2-norms
 also lives here: a seeded run grown until its extreme Ritz values settle
@@ -87,6 +87,7 @@ import dataclasses
 import functools
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -234,96 +235,43 @@ def _close_row(row_max, delta, left, beta):
 
 def qt_times(Q, v):
     """Q'v for a column-major n x j basis Q, bitwise the one-call product.
-
-    When Q holds at least SPLIT_BYTES and two CPUs are usable, the worker
-    thread forms the entries of the columns from `cut` on, a multiple of 4
-    near j/2, while the caller forms the others.  Each part is an `np.dot`
-    product, which releases the interpreter lock during BLAS where
-    `np.matmul` on the transposed block holds it, so the two run at once.
-    Neither part is a single column, which numpy would take as a dot
-    product, summed in another order.
-    """
-    if Q.nbytes >= SPLIT_BYTES:
-        j = Q.shape[1]
-        cut = 4 * ((j + 4) // 8)
-        out = np.empty(j)
-        if 0 < cut < j - 1 and _split(
-            lambda: np.dot(Q[:, :cut].T, v, out=out[:cut]),
-            lambda: np.dot(Q[:, cut:].T, v, out=out[cut:]),
-        ):
-            return out
-    return Q.T @ v
+    Split, the worker thread forms the entries of the columns from `cut` on,
+    a multiple of 4 near j/2, and the caller the others, each part an
+    `np.dot` product, which releases the interpreter lock during BLAS."""
+    j = Q.shape[1]
+    cut = 4 * ((j + 4) // 8)
+    if not _splits(Q, cut, j):
+        return Q.T @ v
+    out = np.empty(j)
+    _split(
+        lambda: np.dot(Q[:, :cut].T, v, out=out[:cut]),
+        lambda: np.dot(Q[:, cut:].T, v, out=out[cut:]),
+    )
+    return out
 
 
 def q_times(Q, c, out=None):
     """Qc for a column-major n x j basis Q, written into `out` when given,
-    bitwise the one-call product.
-
-    When Q holds at least SPLIT_BYTES and two CPUs are usable, the worker
-    thread forms the rows from `cut` on, a multiple of 64 near n/2, while
-    the caller forms the others; neither part is a single row.
-    """
+    bitwise the one-call product.  Split, the worker thread forms the rows
+    from `cut` on, a multiple of 64 near n/2, and the caller the others."""
     n = Q.shape[0]
     if out is None:
         out = np.empty(n)
-    if Q.nbytes >= SPLIT_BYTES:
-        cut = 64 * ((n + 64) // 128)
-        if 0 < cut < n - 1 and _split(
-            lambda: np.matmul(Q[:cut], c, out=out[:cut]),
-            lambda: np.matmul(Q[cut:], c, out=out[cut:]),
-        ):
-            return out
-    return np.matmul(Q, c, out=out)
+    cut = 64 * ((n + 64) // 128)
+    if not _splits(Q, cut, n):
+        return np.matmul(Q, c, out=out)
+    _split(
+        lambda: np.matmul(Q[:cut], c, out=out[:cut]),
+        lambda: np.matmul(Q[cut:], c, out=out[cut:]),
+    )
+    return out
 
 
-class _Worker:
-    """A daemon thread that runs the second half of one split product at a
-    time.  `given` and `finished` are locks held while idle and used as
-    binary semaphores: a caller releases `given` to hand over a job, and the
-    thread releases `finished` when the job is done.  `owner` is held by the
-    caller whose job is in flight."""
-
-    def __init__(self):
-        self.pid = os.getpid()
-        self.owner, self.given, self.finished = (threading.Lock() for _ in range(3))
-        self.given.acquire()
-        self.finished.acquire()
-        self.job = self.error = None
-        threading.Thread(target=self._serve, name="trslab-split", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self.given.acquire()
-            try:
-                self.job()
-            except Exception as exc:  # re-raised by the caller
-                self.error = exc
-            self.finished.release()
-
-    def run(self, first, second):
-        """Run `second` on this thread while the caller runs `first`, and
-        return True once both are done, re-raising an exception of either;
-        return False, running neither, while another caller's job is in
-        flight."""
-        if not self.owner.acquire(blocking=False):
-            return False
-        self.job = second
-        self.given.release()
-        try:
-            first()
-        finally:
-            # interrupted while waiting, the caller keeps `owner`: no later
-            # job can then meet this one's late release of `finished`
-            self.finished.acquire()
-            error, self.job, self.error = self.error, None, None
-            self.owner.release()
-        if error is not None:
-            raise error
-        return True
-
-
-_worker = None  # this process's _Worker, started by the first split product
-_worker_start = threading.Lock()
+def _splits(Q, cut, size):
+    """Whether a product over Q splits its `size` columns or rows at `cut`:
+    Q holds at least SPLIT_BYTES, two CPUs are usable, and neither part is
+    empty or one column or row, a dot product that numpy sums its own way."""
+    return Q.nbytes >= SPLIT_BYTES and 0 < cut < size - 1 and _two_cpus()
 
 
 @functools.cache
@@ -333,26 +281,48 @@ def _two_cpus():
     return (os.cpu_count() or 1) >= 2
 
 
-def _split(first, second):
-    """Run `first` on the caller and `second` on this process's worker, and
-    return True; return False, running neither, when fewer than two CPUs are
-    usable or the worker is busy or being started by another caller thread.
+_jobs = None  # this process's queue of (job, reply) pairs, made by its first split product
+_jobs_start = threading.Lock()
 
-    A worker is started on first use and again in a forked child, whose copy
-    of the parent's worker has no thread behind it.
-    """
-    global _worker
-    worker = _worker
-    if worker is None or worker.pid != os.getpid():
-        if not _two_cpus() or not _worker_start.acquire(blocking=False):
-            return False
+
+def _split(first, second):
+    """Run `first` on the caller and `second` on this process's worker
+    thread, trslab-split, and return when both are done, re-raising an
+    exception of either.  Each call waits on a reply queue of its own, so
+    an interrupted wait leaves nothing that a later call shares."""
+    global _jobs
+    with _jobs_start:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_jobs,), name="trslab-split", daemon=True).start()
+    reply = queue.SimpleQueue()
+    _jobs.put((second, reply))
+    try:
+        first()
+    finally:
+        error = reply.get()
+    if error is not None:
+        raise error
+
+
+def _serve(jobs):
+    while True:
+        job, reply = jobs.get()
         try:
-            if _worker is None or _worker.pid != os.getpid():
-                _worker = _Worker()
-            worker = _worker
-        finally:
-            _worker_start.release()
-    return worker.run(first, second)
+            job()
+            reply.put(None)
+        except Exception as exc:  # re-raised by the caller
+            reply.put(exc)
+        del job, reply  # a held job would keep a view of a finished run's basis alive
+
+
+def _forget_jobs():  # a forked child's copy of the queue has no thread behind it
+    global _jobs, _jobs_start
+    _jobs, _jobs_start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_jobs)
 
 
 def _reorthogonalize(qmat, r, work):
@@ -461,6 +431,8 @@ def lanczos_run(A, g, k_max, capacity=None):
     more, so a large store may hold up to 2 MiB beyond its written columns.
     """
     g = np.asarray(g, dtype=float)
+    if g.size != A.dim:
+        raise ValueError(f"start vector has length {g.size}, operator order {A.dim}")
     beta0 = float(np.linalg.norm(g))
     if beta0 == 0.0:
         raise ZeroStartVector("start vector has zero norm")
@@ -492,6 +464,8 @@ def extend_lanczos(f, A, steps):
         return f
     if f.broken_down:
         raise AlreadyBrokenDown("Lanczos process has already broken down")
+    if A.dim != f.dim:
+        raise ValueError(f"operator order {A.dim}, factorization length {f.dim}")
     order, store = f.basis.shape[1], f._store
     end = min(f.dim, order + steps)
     if store is not None and store.filled == order and end <= store.array.shape[1]:

@@ -105,6 +105,23 @@ def test_nonfinite_input_rejected_before_lanczos(g_entry, delta, kwargs):
     assert applies == []
 
 
+@pytest.mark.parametrize("n", [49, 51])
+@pytest.mark.parametrize("build", ["from_diagonal", "from_dense", "from_triplets"])
+def test_gradient_of_another_length_rejected_before_lanczos(monkeypatch, build, n):
+    d = np.linspace(1.0, 2.0, 50)
+    args = {
+        "from_diagonal": (d,),
+        "from_dense": (np.diag(d),),
+        "from_triplets": (50, np.arange(50), np.arange(50), d),
+    }[build]
+    A = getattr(la.SymmetricLinearOperator, build)(*args)
+    applies, apply = [], A.apply
+    monkeypatch.setattr(A, "apply", lambda v: applies.append(1) or apply(v))
+    with pytest.raises(ValueError, match=f"length {n}, operator order 50"):
+        gltr_solve(A, np.ones(n), 1.0)
+    assert applies == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("at_apply", [1, 4])
 # the step that produces the bad entry stops before any arithmetic on it

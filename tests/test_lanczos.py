@@ -305,6 +305,15 @@ def test_extend_past_breakdown_raises():
         extend_lanczos(f, A, 1)
 
 
+def test_operator_of_another_order_rejected_before_any_apply():
+    f = lanczos_run(diag_op(np.arange(1.0, 11.0)), np.ones(10), 3)
+    applies = []
+    A = la.SymmetricLinearOperator(11, lambda v: applies.append(1) or 2.0 * v)
+    with pytest.raises(ValueError, match="operator order 11, factorization length 10"):
+        extend_lanczos(f, A, 2)
+    assert applies == []
+
+
 def test_operator_returning_its_input():
     # the identity hands back the very array it is given, a column of the
     # basis store: the step must not write into it
@@ -697,6 +706,7 @@ def test_split_products_equal_one_call_products_bitwise():
     # product that numpy sums in another order; those stay one call
     out = _python(
         """
+        import threading
         import numpy as np
         from trslab import lanczos
         lanczos._two_cpus = lambda: True
@@ -715,7 +725,7 @@ def test_split_products_equal_one_call_products_bitwise():
                     and np.array_equal(out, Q @ c)
                 ):
                     differ.append((n, j))
-        assert lanczos._worker is not None
+        assert "trslab-split" in [t.name for t in threading.enumerate()]
         print(differ)
         """
     )
@@ -726,6 +736,7 @@ def test_split_run_matches_the_one_call_run_bitwise():
     # at n = 100 000 the products split from j = 7 on at the default SPLIT_BYTES
     out = _python(
         """
+        import threading
         import numpy as np
         from trslab import lanczos, linalg
         lanczos._two_cpus = lambda: True
@@ -734,7 +745,7 @@ def test_split_run_matches_the_one_call_run_bitwise():
         A = linalg.SymmetricLinearOperator.from_diagonal(rng.standard_normal(n))
         g = rng.standard_normal(n)
         split = lanczos.lanczos_run(A, g, 30)
-        assert lanczos._worker is not None
+        assert "trslab-split" in [t.name for t in threading.enumerate()]
         lanczos.SPLIT_BYTES = float("inf")
         one = lanczos.lanczos_run(A, g, 30)
         print(
@@ -750,8 +761,8 @@ def test_split_run_matches_the_one_call_run_bitwise():
 
 
 def test_concurrent_solves_each_get_the_one_thread_result():
-    # three caller threads share the one worker; a caller that finds it busy
-    # forms its product in one call, which is bitwise the same
+    # three caller threads share the one worker, their halves waiting in line
+    # for it, and each gets the one-thread result bitwise
     out = _python(
         """
         import sys, threading
@@ -849,6 +860,7 @@ def test_split_halves_release_the_interpreter_lock(monkeypatch, product):
     # of ten tries sees it running: no timing threshold, and a half that
     # holds the lock never passes.
     halves = []
+    monkeypatch.setattr(lanczos, "_two_cpus", lambda: True)
     monkeypatch.setattr(lanczos, "SPLIT_BYTES", 0)
     monkeypatch.setattr(lanczos, "_split", lambda first, second: halves.extend((first, second)))
     Q = np.ones((2**20, 8), order="F")
@@ -862,7 +874,7 @@ def test_split_halves_release_the_interpreter_lock(monkeypatch, product):
 def test_one_usable_cpu_starts_no_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(lanczos, "_worker", None)
+    monkeypatch.setattr(lanczos, "_jobs", None)
     monkeypatch.setattr(lanczos, "SPLIT_BYTES", 0)
     lanczos._two_cpus.cache_clear()
     try:
@@ -872,20 +884,42 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
         assert np.array_equal(lanczos.qt_times(Q, r), Q.T @ r)
         assert np.array_equal(lanczos.q_times(Q, r[:12]), Q @ r[:12])
         assert threading.active_count() == threads
-        assert lanczos._worker is None
+        assert lanczos._jobs is None
     finally:
         lanczos._two_cpus.cache_clear()
 
 
-def test_an_exception_in_the_worker_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(lanczos, "_two_cpus", lambda: True)
+def test_an_exception_in_the_worker_reaches_the_caller():
     ran = []
     with pytest.raises(ZeroDivisionError):
         lanczos._split(lambda: ran.append("caller"), lambda: 1 / 0)
     assert ran == ["caller"]
     # the worker takes the next job
-    assert lanczos._split(lambda: None, lambda: ran.append("worker"))
-    assert ran == ["caller", "worker"]
+    lanczos._split(lambda: None, lambda: ran.append(threading.current_thread().name))
+    assert ran == ["caller", "trslab-split"]
+
+
+def test_an_interrupted_wait_leaves_later_splits_on_the_worker():
+    # Ctrl-C while the caller waits for the worker's half: the interrupted
+    # half still ends, and the next split runs on the worker after it
+    out = _python(
+        """
+        import signal, threading, time
+        from trslab import lanczos
+        lanczos._two_cpus = lambda: True
+        main = threading.main_thread().ident
+        threading.Timer(0.2, signal.pthread_kill, (main, signal.SIGINT)).start()
+        try:
+            lanczos._split(lambda: None, lambda: time.sleep(1))
+        except KeyboardInterrupt:
+            print("interrupted")
+        ran = []
+        lanczos._split(lambda: None, lambda: ran.append(threading.current_thread().name))
+        print(*ran)
+        """,
+        timeout=60,
+    )
+    assert out.split() == ["interrupted", "trslab-split"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -896,24 +930,30 @@ def test_forked_child_starts_its_own_worker(monkeypatch):
     rng = np.random.default_rng(37)
     Q, r = np.asfortranarray(rng.standard_normal((3000, 12))), rng.standard_normal(3000)
     lanczos.qt_times(Q, r)
-    assert lanczos._worker.pid == os.getpid()
+    assert _split_threads() == ["trslab-split"]
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
 
     def child():
+        # the child holds only its forking thread until its first split
+        before = _split_threads()
         coords = lanczos.qt_times(Q, r)
-        sender.send((lanczos._worker.pid == os.getpid(), np.allclose(coords, Q.T @ r)))
+        sender.send((before, _split_threads(), np.allclose(coords, Q.T @ r)))
 
     proc = ctx.Process(target=child, daemon=True)
     proc.start()
     try:
         assert receiver.poll(60)
-        assert receiver.recv() == (True, True)
+        assert receiver.recv() == ([], ["trslab-split"], True)
     finally:
         proc.join(60)
         if proc.is_alive():
             proc.kill()
     assert proc.exitcode == 0
+
+
+def _split_threads():
+    return [t.name for t in threading.enumerate() if t.name == "trslab-split"]
 
 
 def test_stream_and_lab_sizes_stay_on_the_one_call_path():
