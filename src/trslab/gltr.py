@@ -1,7 +1,9 @@
 """Krylov trust-region driver.
 
-Grows the Lanczos factorization one step at a time, solves each projected
-tridiagonal subproblem exactly, and records the full convergence history.
+Runs the Lanczos process once and, from inside it, solves each step's
+projected tridiagonal subproblem exactly: the solve is the run's per-step
+`stop` hook, which records the full convergence history and ends the run
+at the stopping rule.
 The cheap residual formula beta_{k+1} * |last entry of h_k| equals the true
 residual norm ||(A + lam_k I) s_k + g||, so the driver needs only h_k at each
 step: the full-space vector s = Q_k h_k is formed once, at termination.  A
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lanczos import extend_lanczos, lanczos_run, q_times
+from .lanczos import _clipped, extend_lanczos, lanczos_run, q_times
 from .trs import BOUNDARY, explicit_residual, solve_trs_tridiagonal  # noqa: F401  re-exported
 
 RESIDUAL_TOL = "residual_tol"
@@ -106,16 +108,19 @@ def gltr_solve(A, g, delta, resid_tol=1e-13, k_max=300):
 
     Each step's record holds h_k, so the iterate s_k is
     factorization.basis[:, :k+1] @ h_k; only the final s is formed here.
-    The Lanczos basis reserves min(n, k_max + 1) columns up front, or as
-    many as lanczos.RESERVE_BYTES holds if fewer, and a run that outgrows
-    them is copied into a store twice as large; pages become resident as
-    columns are written, give or take a 2 MiB huge page on a store of 4 MiB
-    or more.  The returned factorization holds only the columns it uses,
-    and not the run's step workspace.  Raises
-    ValueError, before any Lanczos work, if g has a non-finite entry or a
-    length other than A's order, delta is not in [MIN_DELTA, inf), or
-    `check_budget` rejects k_max or resid_tol, and ZeroGradient (a
-    ValueError) if g = 0.
+    The per-step work (projected solve, record, stopping rule) is the
+    `stop` hook of one lanczos_run call, so no factorization value is built
+    per step.  The Lanczos basis reserves min(n, k_max + 1) columns up
+    front, or as many as lanczos.RESERVE_BYTES holds if fewer; the run
+    fills them, and past them each extend_lanczos call fills a copy of
+    twice the order.  Pages become resident as columns are written, give or
+    take a 2 MiB huge page on a store of 4 MiB or more.  The returned
+    factorization holds only the columns it uses, and not the run's step
+    workspace.  Raises ValueError, before any Lanczos work, if g has a
+    non-finite entry or a length other than A's order, delta is not in
+    [MIN_DELTA, inf), or `check_budget` rejects k_max or resid_tol, and
+    ZeroGradient (a ValueError) if g = 0.  An exception from a step's
+    projected solve propagates out of the run.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -127,26 +132,33 @@ def gltr_solve(A, g, delta, resid_tol=1e-13, k_max=300):
     if beta0 == 0.0:
         raise ZeroGradient("gradient must be nonzero")
 
-    fact = lanczos_run(A, g, 0, capacity=k_max + 1)
     history: list[ConvergenceRecord] = []
-    warm = factors = None
+    warm = factors = termination = None
 
-    for k in range(k_max + 1):
-        T = fact.tridiag
+    def step(T, beta_next, broken_down):
+        # one projected solve per Lanczos step, called by the run itself
+        nonlocal warm, factors, termination
         sol = solve_trs_tridiagonal(T, beta0, delta, lam_lower=warm, factors=factors)
         h, lam = sol.h, sol.lam
         if sol.case == BOUNDARY:
             q = objective_via_tridiagonal(h, lam, beta0, delta)
         else:
             q = beta0 * float(h[0]) + 0.5 * float(h @ T.matvec(h))
-        resid_formula = fact.beta_next * abs(float(h[-1]))
+        resid_formula = beta_next * abs(float(h[-1]))
+        k = len(history)
         rec = ConvergenceRecord(k, h, lam, q, resid_formula, sol.case, sol.secular_iterations)
         history.append(rec)
-        termination = _termination(rec, fact.broken_down, resid_tol, k_max)
-        if termination is not None:
-            return _result(history, termination, fact)
+        termination = _termination(rec, broken_down, resid_tol, k_max)
         warm, factors = lam, sol.factors
-        fact = extend_lanczos(fact, A, 1)
+        return termination is not None
+
+    # the run fills the columns it reserves; past a reservation capped by
+    # RESERVE_BYTES, each extension fills a copy of twice the order
+    steps = max(0, _clipped(k_max + 1, g.size) - 1)
+    fact = lanczos_run(A, g, steps, capacity=k_max + 1, stop=step)
+    while termination is None:
+        fact = extend_lanczos(fact, A, min(fact.k + 1, k_max - fact.k), stop=step)
+    return _result(history, termination, fact)
 
 
 def gltr_prefix(run, resid_tol, k_max):

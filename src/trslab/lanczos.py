@@ -30,15 +30,18 @@ its basis and T into a new store first, of at least twice its order, so
 earlier values never change.  Either way the result is entrywise identical
 to a longer fresh run.
 
-Re-entering a run is O(1) Python work beyond the recurrence, so extending
-one step at a time, as gltr does, costs little more than one longer run: a
-factorization carries the row maximum its last step closed, so resuming
-reads nothing back from T; the store's fill count and capacity say whether
-the value can append in place, with q_{k+1} already in the spare column;
-and a new value is two constructor calls on slices of the store's views.
-On a diagonal operator at 1 BLAS thread (2-core Xeon), 60 one-step
-extensions take about 5 to 7 us per step more than one 60-step run, whose
-steps take about 16 us at n = 100 and 39 us at n = 2000.
+A run can carry its caller's per-step work: `stop(T, beta_next,
+broken_down)`, given to lanczos_run or extend_lanczos, is called after
+every step with that step's read-only T (its inf-norm known, its last row
+also handed over as two floats) and ends the run when it returns True, with
+the value that a run of that length returns, bitwise.  gltr's projected
+solve is such a hook, so a solve builds no factorization value per step.
+Re-entering a run is still O(1) Python work beyond the recurrence: a value
+carries the row maximum its last step closed, and the store's fill count
+and capacity say whether it can append in place, with q_{k+1} already in
+the spare column.  On a diagonal operator at 1 BLAS thread (2-core Xeon),
+60 one-step extensions take about 5 to 7 us per step more than one 60-step
+run, whose steps take about 16 us at n = 100 and 39 us at n = 2000.
 
 A step allocates no n-vector of its own: the recurrence and the
 Gram-Schmidt passes write through `out=` into a two-vector workspace that
@@ -354,22 +357,25 @@ def _reorthogonalize(qmat, r, work):
     return math.sqrt(r @ r), 2
 
 
-def _grow(A, store, row_max, left, order_target):
-    """Advance the three-term recurrence until `order_target` steps are done.
+def _grow(A, store, row_max, left, order_target, stop=None):
+    """Advance the three-term recurrence until `order_target` steps are done,
+    breakdown, or `stop` asks to end.
 
     Invariant on entry: T holds one row fewer than `store.filled`, the last
     filled column is the vector still to be processed, `left` is the
     off-diagonal entry above its row (0.0 for the first row) and row_max
     covers the rows above it.  The store is mutated in place; returns
-    (beta_next, q_next, broken_down, row_max, inf_norm), row_max now covering
-    every row of T, the last closed by beta_next, and inf_norm T's own, whose
-    last row leaves out beta_next.  A step writes only into the store's
-    workspace, its T buffers and its next column, never into the array that
-    A.apply returns: an operator may hand back its input or a buffer of its
-    own.
+    (T, beta_next, q_next, broken_down, row_max), T with its inf-norm, whose
+    last row leaves out beta_next, and row_max covering every row of T, the
+    last closed by beta_next; `stop` sees T, beta_next and broken_down as a
+    run that ended at each step would return them.  A step writes only into
+    the store's workspace, its T buffers and its next column, never into the
+    array that A.apply returns: an operator may hand back its input or a
+    buffer of its own.
     """
     n = store.array.shape[0]
     r, work = store.work
+    basis, diag, off = store.views
     while True:
         j = store.filled
         q_cur = store.array[:, j - 1]
@@ -390,35 +396,33 @@ def _grow(A, store, row_max, left, order_target):
             raise ValueError("nonfinite entries")
         closed = _close_row(row_max, delta, left, beta)
         # the scale is floored here, not in row_max, so T's inf-norm stays exact
-        if beta <= BREAKDOWN_TOL * max(closed, 1e-300) or j >= n:
-            q_next, broken = None, True
-        elif j == order_target:
-            broken = False
-            if j < store.array.shape[1]:  # room left: q_next waits in the spare column
-                np.divide(r, beta, out=store.array[:, j])
-                q_next = store.views[0][:, j]
-            else:
-                q_next = _frozen(r / beta)
-        else:
-            store.off[j - 1] = left = beta
-            row_max = closed
-            np.divide(r, beta, out=store.claim())
-            continue
-        # T's inf-norm: row_max covers the rows above the last, whose sum leaves out beta
-        return beta, q_next, broken, closed, max(row_max, abs(delta) + abs(left))
+        broken = beta <= BREAKDOWN_TOL * max(closed, 1e-300) or j >= n
+        if broken:
+            q_next = None
+        elif j < store.array.shape[1]:  # room left: q_next waits in the spare column
+            np.divide(r, beta, out=store.array[:, j])
+            q_next = basis[:, j]
+        else:  # j == order_target: the store is full
+            q_next = _frozen(r / beta)
+        done = broken or j == order_target
+        if done or stop is not None:
+            # T's inf-norm: row_max covers the rows above the last, whose sum leaves out beta
+            inf_norm = max(row_max, abs(delta) + abs(left))
+            T = SymmetricTridiagonal(diag[:j], off[: j - 1], inf_norm, (delta, left))
+            if stop is not None and stop(T, beta, broken) or done:
+                return T, beta, q_next, broken, closed
+        store.off[j - 1] = left = beta
+        row_max = closed
+        store.filled += 1  # claims the column q_next was divided into
 
 
-def _assemble(store, beta0, beta_next, q_next, broken, row_max, inf_norm):
+def _assemble(store, beta0, T, beta_next, q_next, broken, row_max):
     # positional: keywords add about a third to the frozen dataclasses' __init__
-    m = store.filled
-    basis, diag, off = store.views
-    tridiag = SymmetricTridiagonal(diag[:m], off[: m - 1], inf_norm)
-    return LanczosFactorization(
-        basis[:, :m], tridiag, beta0, beta_next, broken, q_next, store, row_max
-    )
+    basis = store.views[0][:, : store.filled]
+    return LanczosFactorization(basis, T, beta0, beta_next, broken, q_next, store, row_max)
 
 
-def lanczos_run(A, g, k_max, capacity=None):
+def lanczos_run(A, g, k_max, capacity=None, stop=None):
     """Run the Lanczos process on (A, g) through step min(k_max, breakdown).
 
     The first basis vector is g normalized, so Q_k^T g = beta0 * e_1.
@@ -429,6 +433,12 @@ def lanczos_run(A, g, k_max, capacity=None):
     copy, with the same entries.  Pages become resident as columns are
     written, but numpy asks for transparent huge pages on arrays of 4 MiB or
     more, so a large store may hold up to 2 MiB beyond its written columns.
+
+    `stop(T, beta_next, broken_down)`, when given, is called after every
+    step k with T of order k + 1 (read-only, its inf-norm known), beta_{k+1}
+    and whether the process broke down there.  If it returns True the run
+    ends at step k, and the result is bitwise the value lanczos_run(A, g, k)
+    returns.  An exception it raises ends the run and propagates.
     """
     g = np.asarray(g, dtype=float)
     if g.size != A.dim:
@@ -438,14 +448,18 @@ def lanczos_run(A, g, k_max, capacity=None):
         raise ZeroStartVector("start vector has zero norm")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    hint = min(capacity or 0, RESERVE_BYTES // (8 * g.size))
-    store = _ColumnStore(g.size, min(g.size, max(hint, k_max + 1)))
+    store = _ColumnStore(g.size, min(g.size, max(_clipped(capacity or 0, g.size), k_max + 1)))
     np.divide(g, beta0, out=store.claim())
-    grown = _grow(A, store, 0.0, 0.0, k_max + 1)
+    grown = _grow(A, store, 0.0, 0.0, k_max + 1, stop)
     return _assemble(store, beta0, *grown)
 
 
-def extend_lanczos(f, A, steps):
+def _clipped(capacity, n):
+    """A capacity hint of basis columns of length n, clipped to RESERVE_BYTES."""
+    return min(capacity, RESERVE_BYTES // (8 * n))
+
+
+def extend_lanczos(f, A, steps, stop=None):
     """Continue a factorization by the given number of steps.
 
     Extending is deterministic: the result matches a single longer run
@@ -453,10 +467,12 @@ def extend_lanczos(f, A, steps):
     on a store whose capacity holds the new steps appends to it in place,
     claiming q_{k+1} where it lies in the spare column.  Any other value is
     copied first into a new store of min(n, max(order + steps, 2 * order))
-    columns, so one-step extensions past a full store copy the basis only
-    at doublings.  In place the call costs O(1) beyond the steps themselves,
-    whatever k is, so a caller may extend one step at a time.  Raises
-    AlreadyBrokenDown if the process already terminated.
+    columns, so extensions that fill each store copy the basis only at
+    doublings.  In place the call costs O(1) beyond the steps themselves,
+    whatever k is.  `stop` is lanczos_run's per-step hook, called after each
+    new step; a run it ends at step k is bitwise the value
+    extend_lanczos(f, A, k - f.k) returns.  Raises AlreadyBrokenDown if the
+    process already terminated.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -477,7 +493,7 @@ def extend_lanczos(f, A, steps):
         store.claim()[:] = f.next_vector
     # re-enter the recurrence at the dangling (beta_next, q_next) step
     store.off[order - 1] = f.beta_next
-    grown = _grow(A, store, f._row_max, f.beta_next, order + steps)
+    grown = _grow(A, store, f._row_max, f.beta_next, order + steps, stop)
     return _assemble(store, f.beta0, *grown)
 
 

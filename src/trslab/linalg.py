@@ -53,6 +53,8 @@ class SymmetricTridiagonal:
     offdiag: np.ndarray
     # known inf_norm(): lanczos passes it, having checked each entry when produced
     _inf_norm: float | None = field(default=None, repr=False, compare=False)
+    # (diag[-1], offdiag[-1]) as floats, passed by the Lanczos step that made them
+    _last_row: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self._inf_norm is not None:

@@ -169,12 +169,13 @@ def _factor(T, lam, beta0, carried=None):
     `carried`, the same for the leading block of order m - 1 taken at lam,
     gains the last row by the arithmetic of ldl_shifted_e1 (bitwise the same
     factors); its pivots are positive, so by Sylvester's law of inertia the
-    new pivot alone decides definiteness.
+    new pivot alone decides definiteness.  That row is read from T's
+    `_last_row` when the Lanczos step that produced it passed it along.
     """
     if carried is None or carried[0] != lam or len(carried[1]) != T.order - 1:
         return (lam, *ldl_shifted_e1(T, lam, -beta0))
     _, d, l, y = carried
-    a, b = T.diag[-1].item(), T.offdiag[-1].item()
+    a, b = T._last_row or (T.diag[-1].item(), T.offdiag[-1].item())
     li = b / d[-1]
     pivot = a + lam - b * li
     if pivot <= 0.0:

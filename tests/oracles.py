@@ -6,15 +6,27 @@ that complement, the norm of the projected off-diagonal block pi M (I - pi)
 by the Lanczos estimator (the package reads it as beta_{k+1}), and the
 spectral condition by a fresh solve (the package reads it off the pair).
 It also holds a Lanczos process that reorthogonalizes fully on every step,
-for tests whose T must not follow the package's reorthogonalization rule.
+for tests whose T must not follow the package's reorthogonalization rule,
+and gltr_solve as a loop of one-step extensions, the regression reference
+for the gltr_solve whose projected solves run inside the Lanczos run.
 """
 
 import math
 
 import numpy as np
 
-from trslab.lanczos import operator_norm_2
+from trslab.gltr import (
+    BOUNDARY,
+    BREAKDOWN,
+    K_MAX,
+    RESIDUAL_TOL,
+    ConvergenceRecord,
+    GltrResult,
+    objective_via_tridiagonal,
+)
+from trslab.lanczos import extend_lanczos, lanczos_run, operator_norm_2, q_times
 from trslab.linalg import IndefiniteShift, SymmetricTridiagonal, solve_shifted
+from trslab.trs import solve_trs_tridiagonal
 
 
 class ZeroVector(Exception):
@@ -132,3 +144,38 @@ def full_reorthogonalization_tridiagonal(A, g, order):
         off.append(float(np.linalg.norm(r)))
         Q[:, j] = r / off[-1]
     return SymmetricTridiagonal(np.array(diag), np.array(off))
+
+
+def gltr_one_step_at_a_time(A, g, delta, resid_tol=1e-13, k_max=300):
+    """gltr_solve's result by a loop over one-step extensions: lanczos_run to
+    step 0 with k_max + 1 columns reserved, then one projected solve per step
+    and extend_lanczos(f, A, 1) until breakdown, resid_tol or k_max.  Each
+    solve is handed a T rebuilt from the factorization's arrays, so the
+    carried LDL' factors read T's last row from the arrays."""
+    beta0 = float(np.linalg.norm(g))
+    fact = lanczos_run(A, g, 0, capacity=k_max + 1)
+    history = []
+    warm = factors = None
+    for k in range(k_max + 1):
+        T = SymmetricTridiagonal(fact.tridiag.diag, fact.tridiag.offdiag, fact.tridiag.inf_norm())
+        sol = solve_trs_tridiagonal(T, beta0, delta, lam_lower=warm, factors=factors)
+        h, lam = sol.h, sol.lam
+        if sol.case == BOUNDARY:
+            q = objective_via_tridiagonal(h, lam, beta0, delta)
+        else:
+            q = beta0 * float(h[0]) + 0.5 * float(h @ T.matvec(h))
+        resid_formula = fact.beta_next * abs(float(h[-1]))
+        history.append(
+            ConvergenceRecord(k, h, lam, q, resid_formula, sol.case, sol.secular_iterations)
+        )
+        if fact.broken_down:
+            termination = BREAKDOWN
+        elif resid_formula <= resid_tol:
+            termination = RESIDUAL_TOL
+        elif k == k_max:
+            termination = K_MAX
+        else:
+            warm, factors = lam, sol.factors
+            fact = extend_lanczos(fact, A, 1)
+            continue
+        return GltrResult(history, lam, q_times(fact.basis, h), q, termination, fact.trimmed())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import gltr_one_step_at_a_time
 
 from trslab import lanczos
 from trslab import linalg as la
@@ -194,6 +195,52 @@ def test_capped_reservation_grows_by_copy_bitwise(monkeypatch):
     capacities.clear()
     lanczos_run(A, g, 10, capacity=261)
     assert capacities == [11]
+
+
+def _result_bits(res):
+    # every record, s, lam, q, the termination and the factorization, as bytes
+    f = res.factorization
+    records = [
+        (r.k, r.h.tobytes(), r.lam, r.q, r.resid_formula, r.case, r.secular_iterations)
+        for r in res.history
+    ]
+    arrays = [res.s, f.basis, f.tridiag.diag, f.tridiag.offdiag]
+    if f.next_vector is not None:
+        arrays.append(f.next_vector)
+    scalars = np.array([res.lam, res.q, f.beta0, f.beta_next, f.tridiag.inf_norm()])
+    return records, [a.tobytes() for a in arrays + [scalars]], res.termination, f.broken_down
+
+
+_FALLBACK_D = np.concatenate([[-1.0], np.linspace(0.5, 10.0, 199)])
+_FALLBACK_G = np.concatenate([[1e-6], np.full(199, 1.0 / np.sqrt(199))])
+
+
+@pytest.mark.parametrize(
+    "d, g, delta, kwargs, reserve_columns, termination",
+    [
+        (np.linspace(-1.0, 1.0, 300), None, 1.0, {}, None, RESIDUAL_TOL),
+        (np.linspace(1.0, 2.0, 300), None, 100.0, {"resid_tol": 0.0, "k_max": 12}, None, K_MAX),
+        (np.linspace(0.5, 3.0, 7), None, 1.0, {"resid_tol": 0.0}, None, BREAKDOWN),
+        (np.linspace(-1.0, 100.0, 2000), None, 1.0, {}, 3, RESIDUAL_TOL),
+        (_FALLBACK_D, _FALLBACK_G, 0.5, {}, None, RESIDUAL_TOL),
+    ],
+    ids=["boundary", "interior", "small-n-breakdown", "capped", "late-low-ritz-value"],
+)
+def test_solve_matches_the_one_step_extension_loop_bitwise(
+    monkeypatch, d, g, delta, kwargs, reserve_columns, termination
+):
+    # the projected solves run inside the Lanczos run, yet every output is
+    # the loop's that re-entered the run once per step
+    if g is None:
+        g = np.random.default_rng(73).standard_normal(d.size)
+    if reserve_columns is not None:
+        monkeypatch.setattr(lanczos, "RESERVE_BYTES", reserve_columns * 8 * d.size)
+    A = diag_op(d)
+    res = gltr_solve(A, g, delta, **kwargs)
+    assert res.termination == termination
+    if termination == K_MAX:
+        assert res.history[-1].case == trs.INTERIOR
+    assert _result_bits(res) == _result_bits(gltr_one_step_at_a_time(A, g, delta, **kwargs))
 
 
 @pytest.mark.parametrize(

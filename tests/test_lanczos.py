@@ -305,6 +305,123 @@ def test_extend_past_breakdown_raises():
         extend_lanczos(f, A, 1)
 
 
+def _assert_bitwise(a, b):
+    # every field of two factorizations, byte for byte
+    assert a.basis.tobytes() == b.basis.tobytes()
+    assert a.tridiag.diag.tobytes() == b.tridiag.diag.tobytes()
+    assert a.tridiag.offdiag.tobytes() == b.tridiag.offdiag.tobytes()
+    assert a.tridiag.inf_norm() == b.tridiag.inf_norm()
+    assert (a.beta0, a.beta_next, a.broken_down, a._row_max) == (
+        b.beta0,
+        b.beta_next,
+        b.broken_down,
+        b._row_max,
+    )
+    assert (a.next_vector is None) == (b.next_vector is None)
+    if a.next_vector is not None:
+        assert a.next_vector.tobytes() == b.next_vector.tobytes()
+
+
+class _Recorder:
+    """A stop hook that records what it is shown and asks to stop at one order."""
+
+    def __init__(self, stop_order=None):
+        self.stop_order = stop_order
+        self.seen = []  # (T's order, beta_next, broken_down) per call
+        self.last_T = None
+
+    def __call__(self, T, beta_next, broken_down):
+        assert not T.diag.flags.writeable and not T.offdiag.flags.writeable
+        # the floats the step hands along are T's last row
+        assert T._last_row[0] == T.diag[-1]
+        assert T.order == 1 or T._last_row[1] == T.offdiag[-1]
+        self.seen.append((T.order, beta_next, broken_down))
+        self.last_T = T
+        return T.order == self.stop_order
+
+
+@pytest.mark.parametrize("k", [0, 7])
+def test_stop_hook_ends_a_run_as_the_shorter_run_bitwise(k):
+    rng = np.random.default_rng(59)
+    A = diag_op(rng.standard_normal(300))
+    g = rng.standard_normal(300)
+    hook = _Recorder(stop_order=k + 1)
+    stopped = lanczos_run(A, g, 40, capacity=60, stop=hook)
+    shorter = lanczos_run(A, g, k)
+    _assert_bitwise(stopped, shorter)
+    # called once per step, with the T and beta_next of the run that ended there
+    assert [order for order, _, _ in hook.seen] == list(range(1, k + 2))
+    assert hook.seen[-1] == (k + 1, shorter.beta_next, False)
+    assert hook.last_T.diag.tobytes() == shorter.tridiag.diag.tobytes()
+    assert hook.last_T.inf_norm() == shorter.tridiag.inf_norm()
+    for order, beta, _ in hook.seen[:-1]:
+        assert beta == shorter.tridiag.offdiag[order - 1]
+    # q_{k+1} waits in the spare column, so the value extends in place
+    assert np.shares_memory(stopped.next_vector, stopped._store.array)
+    grown = extend_lanczos(stopped, A, 5)
+    assert grown._store is stopped._store
+    _assert_bitwise(grown, lanczos_run(A, g, k + 5))
+
+
+def test_stop_hook_sees_breakdown_once():
+    # n = 8 distinct eigenvalues: the process breaks down at j = n
+    A = diag_op(np.linspace(1.0, 8.0, 8))
+    g = np.random.default_rng(61).standard_normal(8)
+    hook = _Recorder()
+    f = lanczos_run(A, g, 20, stop=hook)
+    assert f.broken_down and f.k == 7
+    _assert_bitwise(f, lanczos_run(A, g, 20))
+    assert [broken for _, _, broken in hook.seen] == [False] * 7 + [True]
+    assert hook.seen[-1][:2] == (8, f.beta_next)
+    # a hook that asks to stop at the breakdown step changes nothing
+    _assert_bitwise(lanczos_run(A, g, 20, stop=_Recorder(stop_order=8)), f)
+
+
+def test_stop_hook_ends_an_extension_as_the_shorter_extension_bitwise():
+    rng = np.random.default_rng(67)
+    A = diag_op(rng.standard_normal(300))
+    g = rng.standard_normal(300)
+    # a full store of 3 columns: the extension first copies into 23 columns
+    base = lanczos_run(A, g, 2)
+    hook = _Recorder(stop_order=9)
+    stopped = extend_lanczos(base, A, 20, stop=hook)
+    assert stopped._store is not base._store and stopped._store.array.shape[1] == 23
+    assert [order for order, _, _ in hook.seen] == list(range(4, 10))
+    _assert_bitwise(stopped, extend_lanczos(base, A, 6))
+    _assert_bitwise(stopped, lanczos_run(A, g, 8))
+    _assert_bitwise(base, lanczos_run(A, g, 2))
+    # in place on a store with room, and then on from the stopped value
+    roomy = lanczos_run(A, g, 2, capacity=40)
+    in_place = extend_lanczos(roomy, A, 20, stop=_Recorder(stop_order=9))
+    assert in_place._store is roomy._store
+    _assert_bitwise(in_place, stopped)
+    _assert_bitwise(extend_lanczos(in_place, A, 4), lanczos_run(A, g, 12))
+
+
+def test_an_exception_in_the_stop_hook_propagates():
+    rng = np.random.default_rng(71)
+    A = diag_op(rng.standard_normal(200))
+    g = rng.standard_normal(200)
+    reference = lanczos_run(A, g, 12)
+
+    def failing(T, beta_next, broken_down):
+        if T.order == 5:
+            raise RuntimeError("hook failed")
+        return False
+
+    with pytest.raises(RuntimeError, match="hook failed"):
+        lanczos_run(A, g, 12, stop=failing)
+    base = lanczos_run(A, g, 2, capacity=20)
+    before = _snapshot(base)
+    with pytest.raises(RuntimeError, match="hook failed"):
+        extend_lanczos(base, A, 10, stop=failing)
+    # the value it started from, and later runs, are as if it had not happened
+    assert _snapshot(base) == before
+    _assert_bitwise(extend_lanczos(base, A, 10), reference)
+    _assert_bitwise(lanczos_run(A, g, 12), reference)
+    _assert_bitwise(lanczos_run(A, g, 12, stop=_Recorder()), reference)
+
+
 def test_operator_of_another_order_rejected_before_any_apply():
     f = lanczos_run(diag_op(np.arange(1.0, 11.0)), np.ones(10), 3)
     applies = []
