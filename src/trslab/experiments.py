@@ -358,9 +358,9 @@ def run_experiment(spec, k_max=300, resid_tol=1e-13):
     exist at every k.  When the reference was solved by gltr_solve, the
     measured run is read off that longer run by gltr_prefix, bitwise what a
     fresh gltr_solve returns, and only a run that goes past it is solved
-    again.  Raises ValueError for a negative k_max or a resid_tol not >= 0
-    before generating the instance, and InvalidSpec when the generated order
-    differs from spec.n.
+    again.  Raises ValueError for a k_max that is not an int >= 0 or a
+    resid_tol not >= 0 before generating the instance, and InvalidSpec when
+    the generated order differs from spec.n.
     """
     check_budget(k_max, resid_tol)
     A, g = generate(spec)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lanczos import _clipped, extend_lanczos, lanczos_run, q_times
+from .lanczos import extend_lanczos  # noqa: F401  a perfbench binding
+from .lanczos import _check_count, lanczos_run, q_times
 from .trs import BOUNDARY, explicit_residual, solve_trs_tridiagonal  # noqa: F401  re-exported
 
 RESIDUAL_TOL = "residual_tol"
@@ -65,10 +66,9 @@ def objective_via_tridiagonal(h, lam, beta0, delta):
 
 
 def check_budget(k_max, resid_tol):
-    """Raise ValueError if k_max is negative or resid_tol is not >= 0 (a NaN
-    would disable the stopping test)."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max!r}")
+    """Raise ValueError if k_max is not an int >= 0 (a bool is not a count)
+    or resid_tol is not >= 0 (a NaN would disable the stopping test)."""
+    _check_count("k_max", k_max)
     if not resid_tol >= 0.0:
         raise ValueError(f"resid_tol must be >= 0, got {resid_tol!r}")
 
@@ -110,11 +110,7 @@ def gltr_solve(A, g, delta, resid_tol=1e-13, k_max=300):
     factorization.basis[:, :k+1] @ h_k; only the final s is formed here.
     The per-step work (projected solve, record, stopping rule) is the
     `stop` hook of one lanczos_run call, so no factorization value is built
-    per step.  The Lanczos basis reserves min(n, k_max + 1) columns up
-    front, or as many as lanczos.RESERVE_BYTES holds if fewer; the run
-    fills them, and past them each extend_lanczos call fills a copy of
-    twice the order.  Pages become resident as columns are written, give or
-    take a 2 MiB huge page on a store of 4 MiB or more.  The returned
+    per step; that run reserves and grows the Lanczos basis.  The returned
     factorization holds only the columns it uses, and not the run's step
     workspace.  Raises ValueError, before any Lanczos work, if g has a
     non-finite entry or a length other than A's order, delta is not in
@@ -152,12 +148,8 @@ def gltr_solve(A, g, delta, resid_tol=1e-13, k_max=300):
         warm, factors = lam, sol.factors
         return termination is not None
 
-    # the run fills the columns it reserves; past a reservation capped by
-    # RESERVE_BYTES, each extension fills a copy of twice the order
-    steps = max(0, _clipped(k_max + 1, g.size) - 1)
-    fact = lanczos_run(A, g, steps, capacity=k_max + 1, stop=step)
-    while termination is None:
-        fact = extend_lanczos(fact, A, min(fact.k + 1, k_max - fact.k), stop=step)
+    # bound first: _result's arguments are read left to right, and the run sets termination
+    fact = lanczos_run(A, g, k_max, stop=step)
     return _result(history, termination, fact)
 
 

@@ -13,43 +13,35 @@ to machine precision, which all downstream accuracy checks rely on.  A step
 reads the basis once when it skips (Q'r), twice on one pass (Q'r, then Qc)
 and four times on two; the deep solve (family 2 at n = 100 000, 71 steps)
 skipped on 37 of its steps at seed 5.  Each new entry of T is checked finite
-once, when it is produced, and a factorization carries the running maximum
-of T's absolute row sums, which scales the breakdown test and gives T's
-inf-norm, so it is never rebuilt from all rows at every step.
+once, when it is produced, and a run carries the running maximum of T's
+absolute row sums, which scales the breakdown test and gives T's inf-norm,
+so it is never rebuilt from all rows at every step.
 
-A run writes its basis into one column-major n x capacity store, whose
-capacity is fixed when it is made, and the reorthogonalization works on the
-filled prefix of that store directly.  The store also holds T's diagonal and
-off-diagonal in buffers of the same capacity, and, when it has room, the
-dangling q_{k+1} in its first unfilled column.  A factorization's `basis`,
-`tridiag` and `next_vector` are slices of read-only views that the store
-makes once, when it is made.  Factorizations are immutable values: extending
-one appends to its store in place when it is the newest value on that store
-and the new steps fit, claiming q_{k+1} where it lies, and otherwise copies
-its basis and T into a new store first, of at least twice its order, so
-earlier values never change.  Either way the result is entrywise identical
-to a longer fresh run.
+A run writes its basis into one column-major store, which reserves
+min(n, k_max + 1) columns when the run starts, or as many as RESERVE_BYTES
+holds if fewer; a run that fills its store goes on in a copy of twice the
+order.  The reorthogonalization works on the filled prefix of the store
+directly.  The store also holds T's diagonal and off-diagonal in buffers of
+the same capacity.  A factorization's `basis` and `tridiag` are slices of
+read-only views that the store makes once, when it is made, and its q_{k+1}
+is a read-only vector of its own.  Factorizations are immutable values:
+extend_lanczos copies one into a new store and goes on there, and the result
+is entrywise identical to a longer fresh run.
 
 A run can carry its caller's per-step work: `stop(T, beta_next,
-broken_down)`, given to lanczos_run or extend_lanczos, is called after
-every step with that step's read-only T (its inf-norm known, its last row
-also handed over as two floats) and ends the run when it returns True, with
-the value that a run of that length returns, bitwise.  gltr's projected
-solve is such a hook, so a solve builds no factorization value per step.
-Re-entering a run is still O(1) Python work beyond the recurrence: a value
-carries the row maximum its last step closed, and the store's fill count
-and capacity say whether it can append in place, with q_{k+1} already in
-the spare column.  On a diagonal operator at 1 BLAS thread (2-core Xeon),
-60 one-step extensions take about 5 to 7 us per step more than one 60-step
-run, whose steps take about 16 us at n = 100 and 39 us at n = 2000.
+broken_down)`, given to lanczos_run, is called after every step with that
+step's read-only T (its inf-norm known, its last row also handed over as two
+floats) and ends the run when it returns True, with the value that a run of
+that length returns, bitwise.  gltr's projected solve and the extremal
+estimator's settling test are such hooks, so each is one run.
 
-A step allocates no n-vector of its own: the recurrence and the
-Gram-Schmidt passes write through `out=` into a two-vector workspace that
-each store owns (a branch copy gets its own), and a step divides its
-residual straight into the store's next column (the spare, when it stops).
-The operations and their order are those of the plain out-of-place
-expressions, so the results are bitwise the same.  Nothing is written into the array that A.apply
-returns, which may be the operator's input or a buffer it reuses.
+A step allocates no n-vector of its own, apart from the q_{k+1} that a run
+ends with: the recurrence and the Gram-Schmidt passes write through `out=`
+into a two-vector workspace that each store owns, and a step divides its
+residual straight into the store's next column.  The operations and their order are those of the plain
+out-of-place expressions, so the results are bitwise the same.  Nothing is
+written into the array that A.apply returns, which may be the operator's
+input or a buffer it reuses.
 
 The two products of a Gram-Schmidt pass, Q'r and Qc, read the whole basis,
 and at large n they are most of a run's time, bound by how fast one core
@@ -89,6 +81,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import os
 import queue
 import threading
@@ -101,7 +94,7 @@ from .linalg import SymmetricLinearOperator, SymmetricTridiagonal, extremal_eig_
 BREAKDOWN_TOL = 1e-12  # breakdown: beta_{k+1} <= this * T's largest row sum (floor 1e-300)
 # a step subtracts Q(Q'r) only when ||Q'r|| > this * ||r||: 8 unit roundoffs
 ORTH_ETA = 2.0**-50
-RESERVE_BYTES = 256 * 2**20  # a capacity hint reserves at most this much basis
+RESERVE_BYTES = 256 * 2**20  # a run reserves at most this much basis up front
 # a product over at least this much basis splits over two threads: just above the basis of a
 # default-length solve at n = 2000 (301 columns, 4.59 MiB); crossover measured in
 # BENCH_gil_releasing_halves.json
@@ -121,40 +114,34 @@ class _ColumnStore:
     """Column-major n x capacity buffer whose first `filled` columns are written,
     with T's diagonal and off-diagonal in two buffers of the same capacity.
 
-    Column-major keeps every prefix contiguous with leading dimension n, so
-    BLAS sees the same operands, and rounds the same way, whatever the
-    capacity.  `views` holds read-only views of the three buffers, made once
-    with the store: a value's basis, T and spare q_{k+1} are slices of them,
-    and a slice of a read-only view is read-only.  `work` is the step's
-    scratch, two n-vectors allocated once with the store: the residual being
-    built and one product.  The capacity never changes.  A run that stops
-    with room left writes its dangling q_{k+1} into the first unfilled
-    column, the spare, which resuming then claims as it stands.
+    A store is made holding copies of a basis, T's diagonal and its
+    off-diagonal, which may hold one entry past T, the beta that closes its
+    last row.  Column-major keeps every prefix contiguous with leading
+    dimension n, so BLAS sees the same operands, and rounds the same way,
+    whatever the capacity.  `views` holds read-only views of the three
+    buffers, made once with the store: a value's basis and T are slices of
+    them, and a slice of a read-only view is read-only.  `work` is the
+    step's scratch, two n-vectors allocated once with the store: the
+    residual being built and one product.  The capacity never changes.
     """
 
-    def __init__(self, n, capacity):
+    def __init__(self, basis, diag, off, capacity):
+        n, order = basis.shape
         self.array = np.empty((n, capacity), order="F")
+        self.array[:, :order] = basis
         self.diag, self.off = np.empty(capacity), np.empty(capacity)
+        self.diag[: len(diag)] = diag
+        self.off[: len(off)] = off
         self.views = tuple(_frozen(buffer.view()) for buffer in (self.array, self.diag, self.off))
-        self.filled = 0
+        self.filled = order
         self.work = tuple(np.empty((2, n)))
 
-    def claim(self):
-        """The next column, counted as filled; the caller writes it unless it
-        is the spare."""
-        self.filled += 1
-        return self.array[:, self.filled - 1]
 
-    @classmethod
-    def copy_of(cls, f, capacity):
-        """A new store holding a copy of f's basis and T."""
-        order = f.tridiag.order
-        store = cls(f.dim, capacity)
-        store.array[:, :order] = f.basis
-        store.diag[:order] = f.tridiag.diag
-        store.off[: order - 1] = f.tridiag.offdiag
-        store.filled = order
-        return store
+def _reserved(n, order, order_target):
+    """Columns of length n that a store holding `order` of them reserves for
+    a run to order_target: min(n, order_target), or as many as RESERVE_BYTES
+    holds if fewer, but at least `order`."""
+    return max(order, min(n, order_target, RESERVE_BYTES // (8 * n)))
 
 
 def _frozen(view):
@@ -171,8 +158,6 @@ class LanczosFactorization:
     broken_down: bool
     next_vector: np.ndarray | None  # q_{k+1}, read-only, kept so the run can be resumed
     _store: _ColumnStore | None = dataclasses.field(default=None, repr=False, compare=False)
-    # the largest absolute row sum of T, its last row closed by beta_next
-    _row_max: float = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def k(self):
@@ -187,7 +172,7 @@ class LanczosFactorization:
 
         The store is dropped, and with it its step workspace.  When the store
         has no spare columns the basis and T stay views of it; otherwise they
-        and q_{k+1} are copied out.  Returns self when there is no store.
+        are copied out.  Returns self when there is no store.
         """
         if self._store is None:
             return self
@@ -200,7 +185,6 @@ class LanczosFactorization:
             tridiag=SymmetricTridiagonal(
                 _frozen(T.diag.copy()), _frozen(T.offdiag.copy()), T.inf_norm()
             ),
-            next_vector=None if self.next_vector is None else _frozen(self.next_vector.copy()),
             _store=None,
         )
 
@@ -210,22 +194,15 @@ class LanczosFactorization:
 
         Its basis is the first `order` columns, T is the leading block, and
         beta_next and q_{k+1} are the next off-diagonal entry and column; they
-        are views, not copies.  The row maximum is that of its own rows, the
-        last closed by beta_next, so extend_lanczos on it matches a fresh
-        longer run entrywise.  Returns self.trimmed() at this run's order.
+        are views, not copies.  Returns self.trimmed() at this run's order.
         """
         if not 1 <= order <= self.tridiag.order:
             raise ValueError(f"order must lie in 1..{self.tridiag.order}, got {order!r}")
         if order == self.tridiag.order:
             return self.trimmed()
-        T = self.tridiag.leading(order)
-        right = np.abs(self.tridiag.offdiag[:order])
-        # each row's |d_i| + |e_i| + |e_{i-1}|, in _close_row's order
-        row_max = float((np.abs(T.diag) + right + np.concatenate(([0.0], right[:-1]))).max())
         beta_next, q_next = float(self.tridiag.offdiag[order - 1]), self.basis[:, order]
-        return LanczosFactorization(
-            self.basis[:, :order], T, self.beta0, beta_next, False, q_next, None, row_max
-        )
+        T = self.tridiag.leading(order)
+        return LanczosFactorization(self.basis[:, :order], T, self.beta0, beta_next, False, q_next)
 
 
 def _close_row(row_max, delta, left, beta):
@@ -234,6 +211,14 @@ def _close_row(row_max, delta, left, beta):
     A row adds |d_i| + |e_i| + |e_{i-1}|, SymmetricTridiagonal.inf_norm's
     order, so a row closed inside T sums bitwise as in T's inf-norm."""
     return max(row_max, abs(delta) + abs(beta) + abs(left))
+
+
+def _row_maximum(diag, off):
+    """The row maximum of T, given its diagonal and its off-diagonal followed
+    by the beta that closes its last row: each row's |d_i| + |e_i| + |e_{i-1}|,
+    summed in _close_row's order, so bitwise the running maximum."""
+    right = np.abs(off)
+    return float((np.abs(diag) + right + np.concatenate(([0.0], right[:-1]))).max())
 
 
 def qt_times(Q, v):
@@ -357,21 +342,20 @@ def _reorthogonalize(qmat, r, work):
     return math.sqrt(r @ r), 2
 
 
-def _grow(A, store, row_max, left, order_target, stop=None):
+def _grow(A, store, beta0, row_max, left, order_target, stop=None):
     """Advance the three-term recurrence until `order_target` steps are done,
-    breakdown, or `stop` asks to end.
+    breakdown, or `stop` asks to end, and return the factorization.
 
     Invariant on entry: T holds one row fewer than `store.filled`, the last
     filled column is the vector still to be processed, `left` is the
     off-diagonal entry above its row (0.0 for the first row) and row_max
-    covers the rows above it.  The store is mutated in place; returns
-    (T, beta_next, q_next, broken_down, row_max), T with its inf-norm, whose
-    last row leaves out beta_next, and row_max covering every row of T, the
-    last closed by beta_next; `stop` sees T, beta_next and broken_down as a
-    run that ended at each step would return them.  A step writes only into
-    the store's workspace, its T buffers and its next column, never into the
-    array that A.apply returns: an operator may hand back its input or a
-    buffer of its own.
+    covers the rows above it.  The store is filled in place, and a full one
+    is copied into a store of min(n, 2 * order, order_target) columns; `stop`
+    sees T, with its inf-norm, beta_next and broken_down as a run that ended
+    at each step would return them.  A step writes only into the store's
+    workspace, its T buffers and its next column, never into the array that
+    A.apply returns: an operator may hand back its input or a buffer of its
+    own.
     """
     n = store.array.shape[0]
     r, work = store.work
@@ -397,40 +381,40 @@ def _grow(A, store, row_max, left, order_target, stop=None):
         closed = _close_row(row_max, delta, left, beta)
         # the scale is floored here, not in row_max, so T's inf-norm stays exact
         broken = beta <= BREAKDOWN_TOL * max(closed, 1e-300) or j >= n
-        if broken:
-            q_next = None
-        elif j < store.array.shape[1]:  # room left: q_next waits in the spare column
-            np.divide(r, beta, out=store.array[:, j])
-            q_next = basis[:, j]
-        else:  # j == order_target: the store is full
-            q_next = _frozen(r / beta)
         done = broken or j == order_target
         if done or stop is not None:
             # T's inf-norm: row_max covers the rows above the last, whose sum leaves out beta
             inf_norm = max(row_max, abs(delta) + abs(left))
             T = SymmetricTridiagonal(diag[:j], off[: j - 1], inf_norm, (delta, left))
             if stop is not None and stop(T, beta, broken) or done:
-                return T, beta, q_next, broken, closed
+                q_next = None if broken else _frozen(r / beta)
+                # positional: keywords add about a third to the frozen dataclasses' __init__
+                return LanczosFactorization(basis[:, :j], T, beta0, beta, broken, q_next, store)
         store.off[j - 1] = left = beta
         row_max = closed
-        store.filled += 1  # claims the column q_next was divided into
+        if j == store.array.shape[1]:  # full: go on in a copy of twice the order
+            store = _ColumnStore(basis[:, :j], diag[:j], off[:j], min(n, 2 * j, order_target))
+            basis, diag, off = store.views
+        np.divide(r, beta, out=store.array[:, j])
+        r, work = store.work
+        store.filled += 1
 
 
-def _assemble(store, beta0, T, beta_next, q_next, broken, row_max):
-    # positional: keywords add about a third to the frozen dataclasses' __init__
-    basis = store.views[0][:, : store.filled]
-    return LanczosFactorization(basis, T, beta0, beta_next, broken, q_next, store, row_max)
+def _check_count(name, value):
+    """Raise ValueError unless value is an int >= 0; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
-def lanczos_run(A, g, k_max, capacity=None, stop=None):
+def lanczos_run(A, g, k_max, stop=None):
     """Run the Lanczos process on (A, g) through step min(k_max, breakdown).
 
     The first basis vector is g normalized, so Q_k^T g = beta0 * e_1.
-    max(capacity, k_max + 1) basis columns are reserved, at most n; a caller
-    that will extend the run passes the final count it expects, so that the
-    extensions append in place.  The capacity hint is clipped to the columns
-    that RESERVE_BYTES holds; a longer run then grows by extend_lanczos's
-    copy, with the same entries.  Pages become resident as columns are
+    min(n, k_max + 1) basis columns are reserved, or as many as RESERVE_BYTES
+    holds if fewer; a run that fills them goes on in a copy of twice the
+    order, with the same entries.  Pages become resident as columns are
     written, but numpy asks for transparent huge pages on arrays of 4 MiB or
     more, so a large store may hold up to 2 MiB beyond its written columns.
 
@@ -438,7 +422,8 @@ def lanczos_run(A, g, k_max, capacity=None, stop=None):
     step k with T of order k + 1 (read-only, its inf-norm known), beta_{k+1}
     and whether the process broke down there.  If it returns True the run
     ends at step k, and the result is bitwise the value lanczos_run(A, g, k)
-    returns.  An exception it raises ends the run and propagates.
+    returns.  An exception it raises ends the run and propagates.  Raises
+    ValueError if k_max is not an int >= 0.
     """
     g = np.asarray(g, dtype=float)
     if g.size != A.dim:
@@ -446,77 +431,63 @@ def lanczos_run(A, g, k_max, capacity=None, stop=None):
     beta0 = float(np.linalg.norm(g))
     if beta0 == 0.0:
         raise ZeroStartVector("start vector has zero norm")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    store = _ColumnStore(g.size, min(g.size, max(_clipped(capacity or 0, g.size), k_max + 1)))
-    np.divide(g, beta0, out=store.claim())
-    grown = _grow(A, store, 0.0, 0.0, k_max + 1, stop)
-    return _assemble(store, beta0, *grown)
+    _check_count("k_max", k_max)
+    store = _ColumnStore((g / beta0)[:, None], [], [], _reserved(g.size, 1, k_max + 1))
+    return _grow(A, store, beta0, 0.0, 0.0, k_max + 1, stop)
 
 
-def _clipped(capacity, n):
-    """A capacity hint of basis columns of length n, clipped to RESERVE_BYTES."""
-    return min(capacity, RESERVE_BYTES // (8 * n))
-
-
-def extend_lanczos(f, A, steps, stop=None):
+def extend_lanczos(f, A, steps):
     """Continue a factorization by the given number of steps.
 
-    Extending is deterministic: the result matches a single longer run
-    entrywise, and f itself is left unchanged.  Extending the newest value
-    on a store whose capacity holds the new steps appends to it in place,
-    claiming q_{k+1} where it lies in the spare column.  Any other value is
-    copied first into a new store of min(n, max(order + steps, 2 * order))
-    columns, so extensions that fill each store copy the basis only at
-    doublings.  In place the call costs O(1) beyond the steps themselves,
-    whatever k is.  `stop` is lanczos_run's per-step hook, called after each
-    new step; a run it ends at step k is bitwise the value
-    extend_lanczos(f, A, k - f.k) returns.  Raises AlreadyBrokenDown if the
-    process already terminated.
+    The result matches a single longer run entrywise, and f is left
+    unchanged: its basis, T, beta_next and q_{k+1} are copied into a new
+    store, which reserves columns as lanczos_run does for a run of
+    f.k + steps steps, and the run goes on there, its row maximum recomputed
+    from T's rows.  Raises ValueError if steps is not an int >= 0, and
+    AlreadyBrokenDown if the process already terminated.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _check_count("steps", steps)
     if steps == 0:
         return f
     if f.broken_down:
         raise AlreadyBrokenDown("Lanczos process has already broken down")
     if A.dim != f.dim:
         raise ValueError(f"operator order {A.dim}, factorization length {f.dim}")
-    order, store = f.basis.shape[1], f._store
-    end = min(f.dim, order + steps)
-    if store is not None and store.filled == order and end <= store.array.shape[1]:
-        # f is the newest value on its store, which has room, so q_{k+1}
-        # lies in the spare column
-        store.claim()
-    else:
-        store = _ColumnStore.copy_of(f, max(end, min(f.dim, 2 * order)))
-        store.claim()[:] = f.next_vector
-    # re-enter the recurrence at the dangling (beta_next, q_next) step
+    order = f.basis.shape[1]
+    T = f.tridiag
+    store = _ColumnStore(f.basis, T.diag, T.offdiag, _reserved(f.dim, order + 1, order + steps))
     store.off[order - 1] = f.beta_next
-    grown = _grow(A, store, f._row_max, f.beta_next, order + steps, stop)
-    return _assemble(store, f.beta0, *grown)
+    store.array[:, order] = f.next_vector
+    store.filled += 1
+    row_max = _row_maximum(T.diag, store.off[:order])
+    return _grow(A, store, f.beta0, row_max, f.beta_next, order + steps)
 
 
 def _settled_extremes(A, watch_bottom):
     """Extreme Ritz values (theta_min, theta_max) of one seeded run on A.
 
-    The run starts from a fixed seeded Gaussian vector and grows 10 steps at
-    a time until it breaks down, reaches min(n - 1, 260) steps, or its
-    watched extremes (the top one, and the bottom one if watch_bottom) move
-    by at most 1e-14 * max(|theta_min|, |theta_max|) over a block.
+    The run starts from a fixed seeded Gaussian vector and reads its extreme
+    Ritz values every 10 steps, at min(n - 1, 260) steps and at breakdown.
+    It ends at the cap, at breakdown, or when its watched extremes (the top
+    one, and the bottom one if watch_bottom) moved by at most
+    1e-14 * max(|theta_min|, |theta_max|) since the reading before.
     """
     k_cap = min(A.dim - 1, 260)
-    start = np.random.default_rng(0).standard_normal(A.dim)
-    f = lanczos_run(A, start, min(k_cap, 10), capacity=k_cap + 1)
-    lo, hi = extremal_eig_tridiagonal(f.tridiag)
-    while not f.broken_down and f.k < k_cap:
-        f = extend_lanczos(f, A, min(10, k_cap - f.k))
-        prev_lo, prev_hi = lo, hi
-        lo, hi = extremal_eig_tridiagonal(f.tridiag)
+    readings = []
+
+    def settled(T, beta_next, broken_down):
+        k = T.order - 1
+        if not (broken_down or k == k_cap or k and k % 10 == 0):
+            return False
+        readings.append(extremal_eig_tridiagonal(T))
+        if len(readings) == 1:
+            return False
+        (prev_lo, prev_hi), (lo, hi) = readings[-2:]
         moved = max(abs(hi - prev_hi), abs(lo - prev_lo) if watch_bottom else 0.0)
-        if moved <= 1e-14 * max(abs(lo), abs(hi)):
-            break
-    return lo, hi
+        return moved <= 1e-14 * max(abs(lo), abs(hi))
+
+    lanczos_run(A, np.random.default_rng(0).standard_normal(A.dim), k_cap, stop=settled)
+    return readings[-1]
 
 
 def estimate_extremal_eigenvalues(A):

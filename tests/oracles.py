@@ -7,8 +7,10 @@ by the Lanczos estimator (the package reads it as beta_{k+1}), and the
 spectral condition by a fresh solve (the package reads it off the pair).
 It also holds a Lanczos process that reorthogonalizes fully on every step,
 for tests whose T must not follow the package's reorthogonalization rule,
-and gltr_solve as a loop of one-step extensions, the regression reference
-for the gltr_solve whose projected solves run inside the Lanczos run.
+gltr_solve as a loop of one-step extensions, the regression reference
+for the gltr_solve whose projected solves run inside the Lanczos run, and
+the extremal estimator as a loop of 10-step extensions, the reference for
+the estimator whose settling test runs inside its one Lanczos run.
 """
 
 import math
@@ -25,7 +27,12 @@ from trslab.gltr import (
     objective_via_tridiagonal,
 )
 from trslab.lanczos import extend_lanczos, lanczos_run, operator_norm_2, q_times
-from trslab.linalg import IndefiniteShift, SymmetricTridiagonal, solve_shifted
+from trslab.linalg import (
+    IndefiniteShift,
+    SymmetricTridiagonal,
+    extremal_eig_tridiagonal,
+    solve_shifted,
+)
 from trslab.trs import solve_trs_tridiagonal
 
 
@@ -148,12 +155,12 @@ def full_reorthogonalization_tridiagonal(A, g, order):
 
 def gltr_one_step_at_a_time(A, g, delta, resid_tol=1e-13, k_max=300):
     """gltr_solve's result by a loop over one-step extensions: lanczos_run to
-    step 0 with k_max + 1 columns reserved, then one projected solve per step
+    step 0, then one projected solve per step
     and extend_lanczos(f, A, 1) until breakdown, resid_tol or k_max.  Each
     solve is handed a T rebuilt from the factorization's arrays, so the
     carried LDL' factors read T's last row from the arrays."""
     beta0 = float(np.linalg.norm(g))
-    fact = lanczos_run(A, g, 0, capacity=k_max + 1)
+    fact = lanczos_run(A, g, 0)
     history = []
     warm = factors = None
     for k in range(k_max + 1):
@@ -179,3 +186,23 @@ def gltr_one_step_at_a_time(A, g, delta, resid_tol=1e-13, k_max=300):
             fact = extend_lanczos(fact, A, 1)
             continue
         return GltrResult(history, lam, q_times(fact.basis, h), q, termination, fact.trimmed())
+
+
+def settled_extremes_in_blocks(A, watch_bottom):
+    """The extremal estimator's (theta_min, theta_max) by a loop of 10-step
+    extensions: lanczos_run from the seeded start to min(k_cap, 10) steps,
+    k_cap = min(n - 1, 260), then extend_lanczos by min(10, k_cap - k) steps
+    until breakdown, k_cap, or the watched extremes (the top one, and the
+    bottom one if watch_bottom) move by at most 1e-14 * max(|lo|, |hi|)."""
+    k_cap = min(A.dim - 1, 260)
+    start = np.random.default_rng(0).standard_normal(A.dim)
+    f = lanczos_run(A, start, min(k_cap, 10))
+    lo, hi = extremal_eig_tridiagonal(f.tridiag)
+    while not f.broken_down and f.k < k_cap:
+        f = extend_lanczos(f, A, min(10, k_cap - f.k))
+        prev_lo, prev_hi = lo, hi
+        lo, hi = extremal_eig_tridiagonal(f.tridiag)
+        moved = max(abs(hi - prev_hi), abs(lo - prev_lo) if watch_bottom else 0.0)
+        if moved <= 1e-14 * max(abs(lo), abs(hi)):
+            break
+    return lo, hi

@@ -66,6 +66,13 @@ def test_threads_section_states_the_split_threshold():
     assert len(stated) == 2 and set(stated) == {mib}
 
 
+def test_stated_reservation_follows_the_constant():
+    # README's figure for lanczos.RESERVE_BYTES, derived from the constant
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    stated = re.findall(r"`(?:lanczos\.)?RESERVE_BYTES` \(([^)]*)\)", text)
+    assert stated == [f"{lanczos.RESERVE_BYTES / 2**20:g} MiB"]
+
+
 def test_stated_skip_threshold_follows_the_constant():
     # the eta that README (module map and Threads section) and the lanczos
     # docstring state, derived from lanczos.ORTH_ETA: a power of two, so

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import gltr_one_step_at_a_time
 
-from trslab import lanczos
+from trslab import gltr, lanczos
 from trslab import linalg as la
 from trslab import trs
 from trslab.gltr import (
@@ -10,6 +10,7 @@ from trslab.gltr import (
     K_MAX,
     RESIDUAL_TOL,
     ZeroGradient,
+    check_budget,
     explicit_residual,
     gltr_prefix,
     gltr_solve,
@@ -106,6 +107,26 @@ def test_nonfinite_input_rejected_before_lanczos(g_entry, delta, kwargs):
     assert applies == []
 
 
+@pytest.mark.parametrize("n", [50, 2000])
+@pytest.mark.parametrize("k_max", [1e3, 3.0, True, False, "10", None])
+def test_k_max_that_is_not_an_int_rejected_before_lanczos(n, k_max):
+    # whatever the order, a float or a bool is no count of steps
+    applies = []
+    A = la.SymmetricLinearOperator(n, lambda v: applies.append(1) or 2.0 * v)
+    with pytest.raises(ValueError, match="k_max must be an int"):
+        gltr_solve(A, np.ones(n), 1.0, k_max=k_max)
+    assert applies == []
+    # the check that run_experiment and gltr_prefix make before any solve
+    with pytest.raises(ValueError, match="k_max must be an int"):
+        check_budget(k_max, 1e-13)
+
+
+def test_numpy_integer_k_max_accepted():
+    A, g = diag_op(np.linspace(1.0, 2.0, 50)), np.ones(50)
+    res = gltr_solve(A, g, 100.0, resid_tol=0.0, k_max=np.int64(3))
+    assert res.termination == K_MAX and res.iterations == 4
+
+
 @pytest.mark.parametrize("n", [49, 51])
 @pytest.mark.parametrize("build", ["from_diagonal", "from_dense", "from_triplets"])
 def test_gradient_of_another_length_rejected_before_lanczos(monkeypatch, build, n):
@@ -162,26 +183,34 @@ def test_returned_basis_matches_fresh_run_bitwise(k_max, resid_tol):
 
 
 def test_capped_reservation_grows_by_copy_bitwise(monkeypatch):
-    # a store held to 3 columns by RESERVE_BYTES grows by extend_lanczos's
-    # copy, and the solve is bitwise the one with all k_max + 1 columns
+    # a store held to 3 columns by RESERVE_BYTES goes on in copies of twice
+    # the order, and the solve is bitwise the one with all k_max + 1 columns;
+    # either way it is one lanczos_run call and no extend_lanczos call
     n = 2000
     rng = np.random.default_rng(8)
     A = diag_op(np.linspace(-1.0, 100.0, n))
     g = rng.standard_normal(n)
-    capacities = []
+    capacities, calls = [], []
 
     class RecordingStore(lanczos._ColumnStore):
-        def __init__(self, n, capacity):
+        def __init__(self, basis, diag, off, capacity):
             capacities.append(capacity)
-            super().__init__(n, capacity)
+            super().__init__(basis, diag, off, capacity)
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
     monkeypatch.setattr(lanczos, "_ColumnStore", RecordingStore)
+    for name in ("lanczos_run", "extend_lanczos"):
+        monkeypatch.setattr(gltr, name, counted(name, getattr(gltr, name)))
     full = gltr_solve(A, g, 1.0)
-    assert capacities == [301]
+    assert capacities == [301] and calls == ["lanczos_run"]
     capacities.clear()
+    calls.clear()
     monkeypatch.setattr(lanczos, "RESERVE_BYTES", 3 * 8 * n)
     capped = gltr_solve(A, g, 1.0)
     assert capacities == [3, 6, 12, 24, 48] and capped.iterations == 42
+    assert calls == ["lanczos_run"]
     assert capped.lam == full.lam and capped.s.tobytes() == full.s.tobytes()
     assert len(capped.history) == len(full.history)
     for a, b in zip(capped.history, full.history):
@@ -191,10 +220,6 @@ def test_capped_reservation_grows_by_copy_bitwise(monkeypatch):
     assert fa.basis.tobytes() == fb.basis.tobytes()
     assert fa.tridiag.diag.tobytes() == fb.tridiag.diag.tobytes()
     assert fa.tridiag.offdiag.tobytes() == fb.tridiag.offdiag.tobytes()
-    # a run still reserves its own k_max + 1 columns, whatever the cap
-    capacities.clear()
-    lanczos_run(A, g, 10, capacity=261)
-    assert capacities == [11]
 
 
 def _result_bits(res):
